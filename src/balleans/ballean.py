@@ -11,7 +11,6 @@ metric on top.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence, Union
 

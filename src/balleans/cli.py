@@ -23,6 +23,7 @@ from .groups import (
     FiniteAbelianGroup,
     GroupDescriptor,
     PruferSubgroup,
+    _is_prime,
     asdim_classify,
     component_census,
     fag_log_distance,
@@ -61,7 +62,10 @@ def parse_group(expr: str) -> GroupCtx:
             raise UsageError("rank must be >= 1")
         return n
     if s.startswith("prufer@"):
-        return ("prufer", _parse_int(s[len("prufer@"):], "prime"))
+        p = _parse_int(s[len("prufer@"):], "prime")
+        if not _is_prime(p):
+            raise UsageError(f"prufer@p needs a prime p, got {p}")
+        return ("prufer", p)
     if s.startswith("Z("):
         orders = []
         for piece in s.split("x"):
@@ -89,14 +93,14 @@ def parse_subgroup(expr: str, ctx: GroupCtx):
             level_str, _, p_str = body.partition("@")
             level = _parse_int(level_str, "level")
             if p_str and _parse_int(p_str, "prime") != p:
-                raise ValueError("subgroup prime differs from group context")
+                raise UsageError("subgroup prime differs from group context")
             return PruferSubgroup(p, level)
         raise UsageError(f"cannot parse subgroup {expr!r} in a divisible chain")
     if isinstance(ctx, int):
         if s.endswith("Z"):
             k = _parse_int(s[:-1] or "1", "multiplier")
             if ctx != 1:
-                raise ValueError("kZ only makes sense with ambient rank 1")
+                raise UsageError("kZ only makes sense with ambient rank 1")
             if k < 0:
                 raise UsageError("multiplier must be >= 0")
             return lattice_from_generators(1, [[k]] if k else [])
@@ -167,7 +171,7 @@ def _parse_vector(tok: str, ambient: int) -> list[int]:
         raise UsageError(f"expected a vector like (a,b): {tok!r}")
     coords = [_parse_int(c, "coordinate") for c in t[1:-1].split(",")]
     if len(coords) != ambient:
-        raise ValueError("vector arity does not match the ambient rank")
+        raise UsageError("vector arity does not match the ambient rank")
     return coords
 
 

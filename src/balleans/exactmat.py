@@ -9,6 +9,7 @@ is why arbitrary precision is mandatory.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional, Sequence
 
 Matrix = Sequence[Sequence[int]]
@@ -19,12 +20,13 @@ def _as_rows(m: Matrix) -> list[list[int]]:
     rows = [list(r) for r in m]
     if rows:
         width = len(rows[0])
-        for r in rows:
-            if len(r) != width:
-                raise ValueError("ragged matrix")
-            for x in r:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise ValueError("matrix entries must be integers")
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged matrix")
+        # the exact-type test is the fast path; int subclasses but bool pass too
+        if not set(map(type, chain.from_iterable(rows))) <= {int} and any(
+                not isinstance(x, int) or isinstance(x, bool)
+                for x in chain.from_iterable(rows)):
+            raise ValueError("matrix entries must be integers")
     return rows
 
 
@@ -43,67 +45,45 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _echelon_transform(
-    m: Matrix,
-) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]]]:
-    """Row-echelon form by unimodular row operations.
+def _echelon(h: list[list[int]], ncols: int) -> list[tuple[int, int]]:
+    """Row-echelon form of h in place, by unimodular row operations.
 
-    Returns (h, u, pivots) with u * m == h, u unimodular, h in echelon form
-    with positive pivots, and pivots a list of (row, col) positions. Rows of h
-    from len(pivots) on are zero; the matching rows of u span the left kernel.
+    Pivots, made positive, are sought in the first ncols columns only, but
+    whole rows are combined, so echelonizing [m | I] leaves the transform in
+    the right-hand block. Returns the pivot positions (row, col).
     """
-    h = _as_rows(m)
     n = len(h)
-    ncols = len(h[0]) if h else 0
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
     pivots: list[tuple[int, int]] = []
-    rank = 0
     for col in range(ncols):
-        piv = None
-        for i in range(rank, n):
-            if h[i][col]:
-                piv = i
-                break
+        rank = len(pivots)
+        piv = next((i for i in range(rank, n) if h[i][col]), None)
         if piv is None:
             continue
-        for i in range(piv + 1, n):
-            if not h[i][col]:
+        rp = h[piv]
+        h[piv] = h[rank]
+        for i in range(rank + 1, n):
+            ri = h[i]
+            b = ri[col]
+            if not b:
                 continue
-            a, b = h[piv][col], h[i][col]
+            a = rp[col]
+            if b % a == 0:
+                q = b // a
+                h[i] = [v - q * u for u, v in zip(rp, ri)]
+                continue
             g, x, y = _xgcd(a, b)
             ag, bg = a // g, b // g
-            for rows in (h, u):
-                rp, ri = rows[piv], rows[i]
-                for j in range(len(rp)):
-                    rp[j], ri[j] = x * rp[j] + y * ri[j], ag * ri[j] - bg * rp[j]
-        if piv != rank:
-            h[rank], h[piv] = h[piv], h[rank]
-            u[rank], u[piv] = u[piv], u[rank]
-        if h[rank][col] < 0:
-            h[rank] = [-x for x in h[rank]]
-            u[rank] = [-x for x in u[rank]]
+            rp, h[i] = ([x * u + y * v for u, v in zip(rp, ri)],
+                        [ag * v - bg * u for u, v in zip(rp, ri)])
+        h[rank] = rp if rp[col] > 0 else [-u for u in rp]
         pivots.append((rank, col))
-        rank += 1
-    return h, u, pivots
+    return pivots
 
 
-def _reduce_above(h: list[list[int]], pivots: list[tuple[int, int]],
-                  u: Optional[list[list[int]]] = None) -> None:
-    """Reduce entries above each pivot into [0, pivot), in place."""
-    for r, c in pivots:
-        p = h[r][c]
-        for i in range(r):
-            q = h[i][c] // p
-            if q:
-                row = h[r]
-                target = h[i]
-                for j in range(c, len(target)):
-                    target[j] -= q * row[j]
-                if u is not None:
-                    urow = u[r]
-                    utarget = u[i]
-                    for j in range(len(utarget)):
-                        utarget[j] -= q * urow[j]
+def _augment(rows: list[list[int]]) -> list[list[int]]:
+    """[m | I]: each row followed by its unit vector."""
+    n = len(rows)
+    return [r + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
 
 
 def row_hnf(m: Matrix) -> list[list[int]]:
@@ -114,19 +94,28 @@ def row_hnf(m: Matrix) -> list[list[int]]:
     integers iff their HNFs are identical, so lattice equality becomes
     bit-equality on the output.
     """
-    h, _, pivots = _echelon_transform(m)
-    _reduce_above(h, pivots)
+    h = _as_rows(m)
+    pivots = _echelon(h, len(h[0]) if h else 0)
+    for r, c in pivots:  # reduce the entries above each pivot
+        row = h[r]
+        for i in range(r):
+            q = h[i][c] // row[c]
+            if q:
+                h[i] = [t - q * u for t, u in zip(h[i], row)]
     return h[: len(pivots)]
 
 
 def left_kernel(m: Matrix) -> list[list[int]]:
     """Canonical basis of the integer left kernel {u : u * m = 0}.
 
-    The transform rows paired with zero echelon rows span the full integer
-    kernel because the transform is unimodular.
+    Echelonizing [m | I] leaves a unimodular transform on the right; its rows
+    paired with zero echelon rows span the full integer kernel.
     """
-    h, u, pivots = _echelon_transform(m)
-    return row_hnf(u[len(pivots):])
+    rows = _as_rows(m)
+    ncols = len(rows[0]) if rows else 0
+    aug = _augment(rows)
+    rank = len(_echelon(aug, ncols))
+    return row_hnf([r[ncols:] for r in aug[rank:]])
 
 
 def snf(m: Matrix) -> list[int]:
@@ -235,21 +224,19 @@ def solve_integer(m: Matrix, target: Sequence[int]) -> Optional[list[int]]:
     if rows and len(t) != len(rows[0]):
         raise ValueError("dimension mismatch")
     if not rows:
-        if any(t):
-            return None
-        return []
-    h, u, pivots = _echelon_transform(rows)
+        return None if any(t) else []
+    ncols = len(t)
+    aug = _augment(rows)
     coeffs = [0] * len(rows)
-    for r, c in pivots:
-        q, rem = divmod(t[c], h[r][c])
+    for r, c in _echelon(aug, ncols):
+        row = aug[r]
+        q, rem = divmod(t[c], row[c])
         if rem:
             return None
         if q:
-            hrow = h[r]
-            for j in range(c, len(t)):
-                t[j] -= q * hrow[j]
-        for j, uj in enumerate(u[r]):
-            coeffs[j] += q * uj
+            for j in range(c, ncols):
+                t[j] -= q * row[j]
+            coeffs = [x + q * u for x, u in zip(coeffs, row[ncols:])]
     if any(t):
         return None
     return coeffs

@@ -11,19 +11,19 @@ data.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from . import exactmat
 from .lattices import (
     ExtNat,
     INFINITE,
     Lattice,
     full_lattice,
-    index_in,
     lattice_from_generators,
-    lattice_intersection,
+    log_subgroup_distance,
     member,
+    pivot_product,
 )
 
 
@@ -50,13 +50,15 @@ class FiniteAbelianGroup:
 
     @classmethod
     def from_orders(cls, orders: Sequence[int]) -> "FiniteAbelianGroup":
-        """Canonicalize an arbitrary direct sum of cyclic groups."""
-        if any(o < 1 for o in orders):
+        """Canonicalize an arbitrary direct sum of cyclic groups: merging
+        pairs by Z(a) ⊕ Z(b) ≅ Z(gcd) ⊕ Z(lcm) leaves a divisibility chain."""
+        ds = list(orders)
+        if any(o < 1 for o in ds):
             raise ValueError("cyclic orders must be >= 1")
-        diag = [[orders[i] if i == j else 0 for j in range(len(orders))]
-                for i in range(len(orders))]
-        factors = [d for d in exactmat.snf(diag) if d > 1]
-        return cls(tuple(factors))
+        for i in range(len(ds)):
+            for j in range(i + 1, len(ds)):
+                ds[i], ds[j] = math.gcd(ds[i], ds[j]), math.lcm(ds[i], ds[j])
+        return cls(tuple(d for d in ds if d > 1))
 
     @property
     def k(self) -> int:
@@ -97,13 +99,9 @@ class FiniteAbelianGroup:
         return itertools.product(*(range(m) for m in self.invariant_factors))
 
     def element_order(self, a: Sequence[int]) -> int:
+        """lcm over coordinates of the order m_i / gcd(x_i, m_i) in Z(m_i)."""
         x = self.normalize(a)
-        n = 1
-        cur = x
-        while any(cur):
-            cur = self.add(cur, x)
-            n += 1
-        return n
+        return math.lcm(*(m // math.gcd(c, m) for c, m in zip(x, self.invariant_factors)))
 
 
 @dataclass(frozen=True)
@@ -141,9 +139,8 @@ class FAGSubgroup:
 
     @property
     def order(self) -> int:
-        idx = index_in(self.lift, full_lattice(self.parent.k))
-        assert idx.is_finite
-        return self.parent.order // idx.value
+        """|G| / |Z^k : lift|, the lift's index being its pivot product."""
+        return self.parent.order // pivot_product(self.lift)
 
     def contains(self, x: Union[int, Sequence[int]]) -> bool:
         return member(list(self.parent.normalize(x)), self.lift)
@@ -153,11 +150,11 @@ class FAGSubgroup:
 
 
 def fag_log_distance(a: FAGSubgroup, b: FAGSubgroup) -> ExtNat:
-    """mu' = max(|A : A∩B|, |B : A∩B|); always finite in a finite group."""
+    """mu' = max(|A : A∩B|, |B : A∩B|); always finite in a finite group.
+    Lifts containing diag(m)·Z^k keep every index, so it is the lifts' mu'."""
     if a.parent != b.parent:
         raise ValueError("subgroups of different parents")
-    cap = lattice_intersection(a.lift, b.lift)
-    return max(index_in(cap, a.lift), index_in(cap, b.lift))
+    return log_subgroup_distance(a.lift, b.lift)
 
 
 def all_subgroups(parent: FiniteAbelianGroup, max_order: int = 200) -> list[FAGSubgroup]:

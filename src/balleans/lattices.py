@@ -118,17 +118,30 @@ def trivial_lattice(ambient: int) -> Lattice:
 
 
 def member(x: Sequence[int], lat: Lattice) -> bool:
-    """Is x an integer combination of the basis rows?"""
+    """Is x an integer combination of the basis rows?
+
+    `lat.basis` is canonical row HNF, so x reduces against it directly, with
+    no echelon pass: each pivot must divide the coordinate it meets, and the
+    residue must end at zero.
+    """
     if len(x) != lat.ambient:
         raise ValueError("vector length does not match ambient dimension")
-    if lat.rank == 0:
-        return not any(x)
-    return exactmat.solve_integer(lat.basis, x) is not None
+    r = list(x)
+    for row in lat.basis:
+        c = next(j for j, v in enumerate(row) if v)
+        q, rem = divmod(r[c], row[c])
+        if rem:
+            return False
+        if q:
+            r = [v - q * u for v, u in zip(r, row)]
+    return not any(r)
 
 
 def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
+    """A + B: one HNF of the stacked canonical bases."""
     _check_same_ambient(a, b)
-    return lattice_from_generators(a.ambient, list(a.basis) + list(b.basis))
+    h = exactmat.row_hnf(a.basis + b.basis)
+    return Lattice(a.ambient, tuple(map(tuple, h)))
 
 
 def lattice_intersection(a: Lattice, b: Lattice) -> Lattice:
@@ -158,19 +171,17 @@ def lattice_intersection(a: Lattice, b: Lattice) -> Lattice:
 def index_in(a: Lattice, b: Lattice) -> ExtNat:
     """The index |B : A| for A a subgroup of B.
 
-    Finite iff the ranks agree, in which case it equals |det| of A's basis
-    written in B's coordinates. Raises if A is not contained in B.
+    Raises unless A's rows reduce to zero against B's canonical row-HNF
+    basis. Finite iff the ranks agree; then A and B share their pivot
+    columns, on which both bases are triangular, so |B : A| = P(A) / P(B)
+    (Cohen, GTM 138, §2.4).
     """
     _check_same_ambient(a, b)
-    coords = []
-    for row in a.basis:
-        c = exactmat.solve_integer(b.basis, row) if b.rank else (None if any(row) else [])
-        if c is None:
-            raise ValueError("not a subgroup")
-        coords.append(c)
+    if not all(member(row, b) for row in a.basis):
+        raise ValueError("not a subgroup")
     if a.rank < b.rank:
         return INFINITE
-    return ExtNat.finite(exactmat.abs_det(coords))
+    return ExtNat.finite(pivot_product(a) // pivot_product(b))
 
 
 def saturation(h: Lattice) -> Lattice:
@@ -192,23 +203,36 @@ def saturation(h: Lattice) -> Lattice:
 
 
 def commensurable(a: Lattice, b: Lattice) -> bool:
-    """Both indices |A : A∩B| and |B : A∩B| finite."""
+    """Both indices |A : A∩B| and |B : A∩B| finite.
+
+    As rank(A∩B) = rank A + rank B - rank(A+B), that is rank A = rank B =
+    rank(A+B), read off the canonical row-HNF bases and one HNF of A + B.
+    """
     _check_same_ambient(a, b)
-    cap = lattice_intersection(a, b)
-    return cap.rank == a.rank == b.rank
+    return a.rank == b.rank == lattice_sum(a, b).rank
 
 
 def log_subgroup_distance(a: Lattice, b: Lattice) -> ExtNat:
     """mu' = max(|A : A∩B|, |B : A∩B|); infinity iff not commensurable.
 
+    By the second isomorphism theorem A/(A∩B) ≅ (A+B)/B, so the indices are
+    |A+B : B| and |A+B : A|: with all ranks equal, mu' = max(P(A), P(B)) /
+    P(A+B) from the canonical row-HNF bases and one HNF of A + B.
+
     The displayed distance is log(mu') in any base > 1; bases differ only by
     a bounded rescaling, so the exact integer is the authoritative value.
     """
     _check_same_ambient(a, b)
-    cap = lattice_intersection(a, b)
-    ia = index_in(cap, a)
-    ib = index_in(cap, b)
-    return max(ia, ib)
+    s = lattice_sum(a, b)
+    if not a.rank == b.rank == s.rank:
+        return INFINITE
+    return ExtNat.finite(max(pivot_product(a), pivot_product(b)) // pivot_product(s))
+
+
+def pivot_product(lat: Lattice) -> int:
+    """P(L): the product of the pivots (each row's first nonzero entry) of
+    L's canonical row-HNF basis. At full rank P(L) = |Z^n : L|."""
+    return math.prod(next(filter(None, row)) for row in lat.basis)
 
 
 def _check_same_ambient(a: Lattice, b: Lattice) -> None:

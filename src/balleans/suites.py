@@ -15,7 +15,6 @@ from typing import Iterable, Optional, Sequence
 from .ballean import (
     ExplicitBallean,
     FiniteSubset,
-    ball_iterate,
     cellularization,
     exp_hyperballean_of,
     hamming_distance,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .ballean import HammingPoint, hamming_distance
+from .ballean import HammingPoint
 from .groups import FAGSubgroup, FiniteAbelianGroup, _is_prime, fag_log_distance
 from .lattices import ExtNat, Lattice, lattice_from_generators
 
@@ -163,17 +163,6 @@ def hamming_embed(n: int, m: TaxiPoint) -> HammingPoint:
     for i, mi in enumerate(m.coords):
         support.update(_stream_prefix(i, n, mi + 1))
     return HammingPoint(frozenset(support))
-
-
-def verify_hamming_isometry(n: int, samples: Sequence[tuple[TaxiPoint, TaxiPoint]]
-                            ) -> VerificationReport:
-    violations = []
-    for m, mp in samples:
-        h = hamming_distance(hamming_embed(n, m), hamming_embed(n, mp))
-        if h != taxi_distance(m, mp):
-            violations.append((m.coords, mp.coords, h))
-    return VerificationReport("hamming-embedding-isometry", len(samples),
-                              tuple(violations))
 
 
 # ---------------------------------------------------------------------------

@@ -120,12 +120,13 @@ def oracle_mu_prime(a_gens, b_gens):
     rs = frac_rank(stacked) if stacked else 0
     if not (ra == rb == rs):
         return None
-    ia = _coset_count(a_gens, b_gens)
-    ib = _coset_count(b_gens, a_gens)
+    ia = coset_count(a_gens, b_gens)
+    ib = coset_count(b_gens, a_gens)
     return max(ia, ib)
 
 
-def _coset_count(a_gens, b_gens, cap: int = 2_000_000) -> int:
+def coset_count(a_gens, b_gens, cap: int = 2_000_000) -> int:
+    """|A : A∩B| as the number of residues of A's points modulo B."""
     basis = hermite_rows(b_gens)
     width = len(a_gens[0]) if a_gens else (len(b_gens[0]) if b_gens else 0)
     start = tuple(reduce_mod([0] * width, basis))

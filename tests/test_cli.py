@@ -135,9 +135,21 @@ class TestExitCodes:
                     "--sub", "2Z"]) == 2
 
     def test_domain_error(self, capsys):
-        # vector arity mismatch is a domain error, not a parse error
+        # a vector arity mismatch is found while parsing: a usage error
         assert run(["dist", "--group", "Z^2", "--sub", "span[(1,2,3)]",
-                    "--sub", "span[(1,0)]"]) == 1
+                    "--sub", "span[(1,0)]"]) == 2
+
+    def test_usage_error_prime_mismatch(self, capsys):
+        assert run(["dist", "--group", "prufer@3", "--sub", "H_1@5",
+                    "--sub", "H_2@3"]) == 2
+
+    def test_usage_error_non_prime_prufer(self, capsys):
+        assert run(["dist", "--group", "prufer@4", "--sub", "H_1",
+                    "--sub", "H_2"]) == 2
+
+    def test_usage_error_kz_in_higher_rank(self, capsys):
+        assert run(["dist", "--group", "Z^2", "--sub", "3Z",
+                    "--sub", "span[(1,0)]"]) == 2
 
     def test_domain_error_missing_file(self, capsys):
         assert run(["profile", "--descriptor", "/nonexistent.json"]) == 1

@@ -1,4 +1,6 @@
+import itertools
 import json
+from collections import Counter
 
 import pytest
 
@@ -27,6 +29,15 @@ from balleans.lattices import ExtNat, INFINITE
 from oracles import all_subgroup_element_sets, closure, element_count_mu
 
 
+def brute_order(orders, x):
+    """Order of x in Z(m1) ⊕ ... by repeated addition."""
+    n, cur = 1, list(x)
+    while any(c % m for c, m in zip(cur, orders)):
+        cur = [c + v for c, v in zip(cur, x)]
+        n += 1
+    return n
+
+
 class TestFiniteAbelianGroup:
     def test_invariant_factor_validation(self):
         with pytest.raises(ValueError):
@@ -45,6 +56,23 @@ class TestFiniteAbelianGroup:
         assert g.neg((1, 1)) == (1, 3)
         assert g.element_order((0, 1)) == 4
         assert len(list(g.elements())) == 8
+
+    def test_from_orders_and_element_order_brute_force(self):
+        for orders in ([1], [6], [4, 6], [2, 3, 4], [9, 6, 1], [8, 12, 2]):
+            g = FiniteAbelianGroup.from_orders(orders)
+            # same order, and the chain's last factor is the exponent
+            box = list(itertools.product(*(range(m) for m in orders)))
+            assert g.order == len(box)
+            exponent = max((brute_order(orders, x) for x in box), default=1)
+            assert g.exponent == exponent
+            # the number of elements of each order is an isomorphism invariant
+            counts = Counter(brute_order(orders, x) for x in box)
+            assert Counter(brute_order(g.invariant_factors, e)
+                           for e in g.elements()) == counts
+        for factors in ((12,), (2, 4), (3, 9), (2, 2, 6)):
+            g = FiniteAbelianGroup(factors)
+            for e in g.elements():
+                assert g.element_order(e) == brute_order(factors, e)
 
 
 class TestFAGSubgroup:
@@ -80,8 +108,10 @@ class TestFAGSubgroup:
     def test_all_subgroups_matches_closure_enumeration(self):
         for factors in ((12,), (2, 4), (3, 9)):
             g = FiniteAbelianGroup(factors)
-            got = {s.elements() for s in all_subgroups(g)}
-            assert got == all_subgroup_element_sets(g)
+            subs = all_subgroups(g)
+            assert {s.elements() for s in subs} == all_subgroup_element_sets(g)
+            for s in subs:
+                assert s.order == len(s.elements())
 
     def test_distance_matches_element_counting(self):
         g = FiniteAbelianGroup((2, 4))

@@ -18,7 +18,7 @@ from balleans.lattices import (
     saturation,
     trivial_lattice,
 )
-from oracles import frac_rank, in_integer_span, oracle_mu_prime
+from oracles import coset_count, frac_rank, in_integer_span, oracle_mu_prime
 
 
 class TestExtNat:
@@ -197,15 +197,25 @@ class TestDistance:
             assert commensurable(a, b) == (saturation(a) == saturation(b))
 
     def test_against_residue_counting_oracle(self):
+        # n = 1..4 with 0..n+1 generators, so trivial and rank-deficient
+        # pairs occur; entries stay small enough for coset counting
         rng = random.Random(8)
-        for _ in range(40):
-            n = rng.choice([2, 3])
-            ga = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(n)]
-            gb = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(n)]
-            d = log_subgroup_distance(lattice_from_generators(n, ga),
-                                      lattice_from_generators(n, gb))
+        bound = {1: 12, 2: 8, 3: 5, 4: 3}
+        for _ in range(400):
+            n = rng.randint(1, 4)
+            ga, gb = ([[rng.randint(-bound[n], bound[n]) for _ in range(n)]
+                       for _ in range(rng.randint(0, n + 1))] for _ in range(2))
+            a = lattice_from_generators(n, ga)
+            b = lattice_from_generators(n, gb)
+            d = log_subgroup_distance(a, b)
             om = oracle_mu_prime(ga, gb)
             if om is None:
                 assert not d.is_finite
             else:
                 assert d == ExtNat.finite(om)
+            assert commensurable(a, b) == (om is not None)
+            # |A : A∩B| is finite iff rank B = rank(A+B), and then counts
+            # the residues of A's points modulo B
+            rb, rs = (frac_rank(g) if g else 0 for g in (gb, ga + gb))
+            want = ExtNat.finite(coset_count(ga, gb)) if rb == rs else INFINITE
+            assert index_in(lattice_intersection(a, b), a) == want
