@@ -275,20 +275,62 @@ def coproduct_ballean(bs: Sequence[ExplicitBallean]) -> ExplicitBallean:
 
 def exp_hyperballean_of(b: ExplicitBallean) -> ExplicitBallean:
     """The hyperballean on all nonempty subsets: Z is within radius a of Y
-    iff Z is inside B(Y,a) and Y is inside B(Z,a)."""
+    iff Z is inside B(Y,a) and Y is inside B(Z,a).
+
+    Subsets are int masks over the support positions. For each radius,
+    blown[m] is the mask of B(m, a) by the lowest-bit recurrence, and
+    inv[i] is the mask of the points whose ball holds point i. Then
+    Y <= B(Z, a) iff Z meets inv[i] for every i in Y, so the ball of Y
+    depends on Y only through the key (blown[Y], {inv[i] : i in Y}): it is
+    built once per distinct key and shared by every Y with that key. Ball
+    entries outside the support cannot lie in any subset and are ignored.
+    """
     n = len(b.support)
     if n > EXP_SUPPORT_LIMIT:
-        raise ValueError("support too large for exp enumeration")
-    subsets = [frozenset(c)
-               for size in range(1, n + 1)
-               for c in itertools.combinations(b.support, size)]
+        raise ValueError(f"support has {n} points; exp enumeration allows "
+                         f"at most {EXP_SUPPORT_LIMIT}")
+    index = {x: i for i, x in enumerate(b.support)}
+    masks = [sum(1 << i for i in c)
+             for size in range(1, n + 1)
+             for c in itertools.combinations(range(n), size)]
+    subset_of = [frozenset()] * (1 << n)
+    for m in masks:
+        subset_of[m] = frozenset(b.support[i] for i in range(n) if m >> i & 1)
     table = {}
     for a in b.radii:
-        blown = {y: b.set_ball(y, a) for y in subsets}
-        for y in subsets:
-            table[(y, a)] = frozenset(
-                z for z in subsets if z <= blown[y] and y <= blown[z])
-    return ExplicitBallean(tuple(subsets), b.radii, table)
+        ball = [0] * n
+        inv = [0] * n
+        for j, x in enumerate(b.support):
+            for y in b.ball(x, a):
+                i = index.get(y)
+                if i is not None:
+                    ball[j] |= 1 << i
+                    inv[i] |= 1 << j
+        # inv_ids[m]: the set {inv[i] : i in m} as a mask over distinct values
+        inv_id = {}
+        inv_bit = [1 << inv_id.setdefault(v, len(inv_id)) for v in inv]
+        blown = [0] * (1 << n)
+        inv_ids = [0] * (1 << n)
+        for m in range(1, 1 << n):
+            low = m & -m
+            i = low.bit_length() - 1
+            blown[m] = blown[m ^ low] | ball[i]
+            inv_ids[m] = inv_ids[m ^ low] | inv_bit[i]
+        shared: dict = {}
+        for y in masks:
+            key = (blown[y], inv_ids[y])
+            ball_y = shared.get(key)
+            if ball_y is None:
+                allowed = blown[y]
+                members = []
+                z = allowed
+                while z:
+                    if blown[z] & y == y:
+                        members.append(subset_of[z])
+                    z = (z - 1) & allowed
+                ball_y = shared[key] = frozenset(members)
+            table[(subset_of[y], a)] = ball_y
+    return ExplicitBallean(tuple(subset_of[m] for m in masks), b.radii, table)
 
 
 # ---------------------------------------------------------------------------
@@ -412,44 +454,61 @@ def g_exp_ball(y: FiniteSubset, radius: Iterable) -> set[frozenset]:
 # the exact mu set metric
 
 
-def _min_cover_size(universe: frozenset, sets: Sequence[frozenset]) -> Optional[int]:
-    """Exact minimum number of sets covering the universe, or None if the
-    union falls short. Branch and bound on the rarest uncovered element,
-    with a greedy initial upper bound."""
+def _min_cover_size(universe: int, sets: Iterable[int]) -> Optional[int]:
+    """Exact minimum number of the int masks in sets whose union covers the
+    mask universe, or None if their union falls short.
+
+    Duplicate masks and masks inside another mask are dropped first: some
+    minimum cover uses none of them. Then branch and bound on the rarest
+    uncovered element, with a greedy initial upper bound and the bound
+    |missing| / (largest progress of one set)."""
     if not universe:
         return 0
-    sets = [s & universe for s in sets if s & universe]
-    if not sets or not frozenset().union(*sets) >= universe:
+    kept: list[int] = []
+    for s in sorted({s & universe for s in sets} - {0},
+                    key=int.bit_count, reverse=True):
+        if all(s | k != k for k in kept):
+            kept.append(s)
+    union = 0
+    for s in kept:
+        union |= s
+    if union != universe:
         return None
 
     # greedy upper bound
-    remaining = set(universe)
+    remaining = universe
     greedy = 0
     while remaining:
-        best = max(sets, key=lambda s: len(s & remaining))
-        remaining -= best
+        best = max(kept, key=lambda s: (s & remaining).bit_count())
+        remaining &= ~best
         greedy += 1
 
     best_known = greedy
-    by_element: dict = {e: [s for s in sets if e in s] for e in universe}
+    holders: dict[int, list[int]] = {}
+    rest = universe
+    while rest:
+        low = rest & -rest
+        holders[low] = [s for s in kept if s & low]
+        rest ^= low
+    rarest_first = sorted(holders, key=lambda e: len(holders[e]))
 
-    def search(covered: frozenset, used: int) -> None:
+    def search(covered: int, used: int) -> None:
         nonlocal best_known
         if used >= best_known:
             return
-        missing = universe - covered
+        missing = universe & ~covered
         if not missing:
             best_known = used
             return
         # simple lower bound: largest candidate set caps per-step progress
-        biggest = max(len(s - covered) for s in sets)
-        if used + -(-len(missing) // biggest) >= best_known:
+        biggest = max((s & missing).bit_count() for s in kept)
+        if used + -(-missing.bit_count() // biggest) >= best_known:
             return
-        pivot = min(missing, key=lambda e: len(by_element[e]))
-        for s in by_element[pivot]:
+        pivot = next(e for e in rarest_first if e & missing)
+        for s in holders[pivot]:
             search(covered | s, used + 1)
 
-    search(frozenset(), 0)
+    search(0, 0)
     return best_known
 
 
@@ -471,17 +530,16 @@ def _free_neg(parent: Parent, a):
     return parent.neg(a)
 
 
-def _translate_cover_sets(parent: Parent, base: frozenset,
-                          targets: frozenset) -> dict:
-    """For each useful translate g, the part of targets inside g + base."""
+def _translate_cover_masks(parent: Parent, base: frozenset,
+                           targets: Sequence) -> dict:
+    """For each useful translate g, the mask of the targets inside g + base,
+    bit i standing for targets[i]. A target t lies in g + base exactly when
+    g = t - b for some b in base."""
     out: dict = {}
-    for t in targets:
+    for i, t in enumerate(targets):
         for b in base:
             g = _free_add(parent, t, _free_neg(parent, b))
-            if g not in out:
-                out[g] = frozenset(
-                    x for x in targets
-                    if _free_add(parent, _free_neg(parent, g), x) in base)
+            out[g] = out.get(g, 0) | 1 << i
     return out
 
 
@@ -507,45 +565,40 @@ def mu_set_distance(y: FiniteSubset, z: FiniteSubset) -> ExtNat:
 
 
 def mu_report(y: FiniteSubset, z: FiniteSubset) -> MuReport:
-    """Exact mu(Y,Z) and the single-set variant, by exact minimum set cover."""
+    """Exact mu(Y,Z) and the single-set variant, by exact minimum set cover.
+
+    The forced identity covers Y ∩ Z in both directions, so only Z ∖ Y and
+    Y ∖ Z need covering. For the single set the universe puts Z ∖ Y on the
+    low bits and Y ∖ Z above them, and a translate's mask is the union of
+    its masks in the two directions."""
     if y.parent != z.parent:
         raise ValueError("subsets of different parents")
     parent = y.parent
     e = _identity(parent)
+    z_only = tuple(z.elements - y.elements)
+    y_only = tuple(y.elements - z.elements)
+    into_z = _translate_cover_masks(parent, y.elements, z_only)
+    into_y = _translate_cover_masks(parent, z.elements, y_only)
+    into_z.pop(e, None)
+    into_y.pop(e, None)
 
-    def forced_cover(base: FiniteSubset, target: FiniteSubset) -> Optional[int]:
-        # min |F| with e in F and F + base covering target
-        remaining = target.elements - base.elements
-        covers = _translate_cover_sets(parent, base.elements, frozenset(remaining))
-        covers.pop(e, None)
-        extra = _min_cover_size(frozenset(remaining), list(covers.values()))
+    def cover_size(targets: tuple, covers: dict) -> Optional[int]:
+        # min |F| with e in F and the translates in F covering the targets
+        extra = _min_cover_size((1 << len(targets)) - 1, covers.values())
         return None if extra is None else 1 + extra
 
-    fy = forced_cover(y, z)
-    sz = forced_cover(z, y)
+    fy = cover_size(z_only, into_z)
+    sz = cover_size(y_only, into_y)
     if fy is None or sz is None:
         mu = ExtNat.infinity()
     else:
         mu = ExtNat.finite(max(fy, sz))
 
-    # single S: one translate set covers both directions at once; the forced
-    # identity already covers Y ∩ Z in each
-    uni = frozenset(("z", t) for t in z.elements - y.elements) | \
-        frozenset(("y", t) for t in y.elements - z.elements)
-    candidates: dict = {}
-    for tag, t in uni:
-        base = y.elements if tag == "z" else z.elements
-        for b in base:
-            g = _free_add(parent, t, _free_neg(parent, b))
-            if g == e or g in candidates:
-                continue
-            candidates[g] = frozenset(
-                (tg, x) for tg, x in uni
-                if _free_add(parent, _free_neg(parent, g), x)
-                in (y.elements if tg == "z" else z.elements))
-    extra = _min_cover_size(uni, list(candidates.values()))
-    single = ExtNat.infinity() if extra is None else ExtNat.finite(1 + extra)
-    return MuReport(mu, single)
+    both = dict(into_z)
+    for g, m in into_y.items():
+        both[g] = both.get(g, 0) | m << len(z_only)
+    single = cover_size(z_only + y_only, both)
+    return MuReport(mu, ExtNat.infinity() if single is None else ExtNat.finite(single))
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,11 @@ def _cmd_dist(args) -> int:
     return 0
 
 
+def _require_prime(p: Optional[int]) -> None:
+    if p is None or not _is_prime(p):
+        raise UsageError(f"prufer needs a prime --p, got {p}")
+
+
 def _cmd_ball(args) -> int:
     from .witnesses import lz_exp_ball, lz_log_ball, prufer_ball
 
@@ -245,6 +250,7 @@ def _cmd_ball(args) -> int:
     elif args.family == "prufer":
         if args.p is None or args.n is None or args.K is None:
             raise UsageError("prufer needs --p, --n and --K")
+        _require_prime(args.p)
         levels = sorted(prufer_ball(args.p, args.n, args.K))
         _emit({"family": "prufer", "p": args.p, "level": args.n, "K": args.K,
                "members": [f"H_{j}@{args.p}" for j in levels]})
@@ -257,6 +263,7 @@ def _cmd_component(args) -> int:
     if args.family == "Z^n":
         census = component_census("Z^n", n=args.n)
     elif args.family == "prufer":
+        _require_prime(args.p)
         census = component_census("prufer", prime=args.p)
     elif args.family == "finite":
         census = component_census("finite_abelian")

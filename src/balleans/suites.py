@@ -22,7 +22,7 @@ from .ballean import (
     mu_set_distance,
     validate_ballean,
 )
-from .groups import FiniteAbelianGroup, all_subgroups, fag_log_distance
+from .groups import FiniteAbelianGroup, _is_prime, all_subgroups, fag_log_distance
 from .lattices import Lattice, lattice_from_generators, log_subgroup_distance
 from .witnesses import (
     PrimeTuple,
@@ -153,9 +153,7 @@ def suite_elemab(primes: Sequence[int] = (2, 3), max_index: int = 4
 
 def _abelian_p_groups(max_order: int) -> list[FiniteAbelianGroup]:
     out = []
-    primes = [p for p in range(2, max_order + 1)
-              if all(p % d for d in range(2, int(p ** 0.5) + 1))]
-    for p in primes:
+    for p in filter(_is_prime, range(2, max_order + 1)):
         e = 1
         while p ** (e + 1) <= max_order:
             e += 1

@@ -182,3 +182,55 @@ def element_count_mu(parent, a_set, b_set) -> int:
     cap = a_set & b_set
     assert len(a_set) % len(cap) == 0 and len(b_set) % len(cap) == 0
     return max(len(a_set) // len(cap), len(b_set) // len(cap))
+
+
+# ---------------------------------------------------------------------------
+# explicit balleans and covers
+
+
+def exp_hyperballean_reference(b):
+    """(support, radii, balls) of the exp-hyperballean on frozensets, from
+    the definition: Z is in the ball of Y at a iff Z ⊆ B(Y, a) and
+    Y ⊆ B(Z, a), over every nonempty subset, by size and then in
+    combinations order."""
+    subsets = [frozenset(c)
+               for size in range(1, len(b.support) + 1)
+               for c in itertools.combinations(b.support, size)]
+    balls = {}
+    for a in b.radii:
+        blown = {y: frozenset().union(*(b.balls[(x, a)] for x in y))
+                 for y in subsets}
+        for y in subsets:
+            balls[(y, a)] = frozenset(
+                z for z in subsets if z <= blown[y] and y <= blown[z])
+    return tuple(subsets), tuple(b.radii), balls
+
+
+def min_cover_brute(universe, sets):
+    """Fewest of the sets whose union contains universe, trying every
+    combination by size; None when even all of them fall short."""
+    universe = frozenset(universe)
+    sets = [frozenset(s) for s in sets]
+    for k in range(len(sets) + 1):
+        for combo in itertools.combinations(sets, k):
+            if universe <= frozenset().union(*combo):
+                return k
+    return None
+
+
+def mu_two_points_elementary(y, z):
+    """mu(Y, Z) for Y = {a, b} in (Z/2)^k, elements as 0/1 tuples.
+
+    A translate of Y is a coset of D = {0, a + b}, and every coset of D is
+    one, so covering Z ∖ Y takes one translate per coset of D it meets, plus
+    the forced identity. The other direction covers at most two points and
+    is found by brute force over all translates of Z."""
+    a, b = sorted(y)
+    add = lambda u, v: tuple((p + q) % 2 for p, q in zip(u, v))
+    d = add(a, b)
+    forward = 1 + len({min(t, add(t, d)) for t in z - y})
+    zero = (0,) * len(a)
+    translates = [frozenset(t for t in y - z if add(t, g) in z)
+                  for g in itertools.product((0, 1), repeat=len(a)) if g != zero]
+    backward = 1 + min_cover_brute(y - z, translates)
+    return max(forward, backward)

@@ -5,6 +5,7 @@ import pytest
 
 from balleans.ballean import (
     ExplicitBallean,
+    _min_cover_size,
     FiniteSubset,
     HammingPoint,
     ZWindow,
@@ -29,6 +30,14 @@ from balleans.ballean import (
 from balleans.groups import FiniteAbelianGroup, all_subgroups, fag_log_distance
 from balleans.lattices import ExtNat
 from balleans.suites import random_ballean
+
+from oracles import (
+    closure,
+    element_count_mu,
+    exp_hyperballean_reference,
+    min_cover_brute,
+    mu_two_points_elementary,
+)
 
 
 def three_point():
@@ -161,8 +170,36 @@ class TestExpHyperballean:
                     assert singles == set(b.ball(x, a))
 
     def test_support_limit(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="support has 13 points; exp "
+                           "enumeration allows at most 12"):
             exp_hyperballean_of(discrete_ballean(range(13)))
+
+    @staticmethod
+    def _assert_matches_reference(b):
+        e = exp_hyperballean_of(b)
+        support, radii, balls = exp_hyperballean_reference(b)
+        assert e.support == support
+        assert e.radii == radii
+        assert e.balls == balls
+
+    def test_matches_reference_on_arbitrary_tables(self):
+        # no axiom holds: balls may miss their centre, be asymmetric, or
+        # name points outside the support
+        rng = random.Random(5)
+        for trial in range(150):
+            n = rng.randint(1, 6)
+            support = list(range(n)) if trial % 2 else [f"p{i}" for i in range(n)]
+            pool = support + ["stray", 99, (0, 1)]
+            radii = [f"r{j}" for j in range(rng.randint(1, 3))]
+            table = {(x, a): frozenset(rng.sample(pool, rng.randint(0, n + 2)))
+                     for x in support for a in radii}
+            self._assert_matches_reference(
+                ExplicitBallean(tuple(support), tuple(radii), table))
+
+    def test_matches_reference_on_valid_balleans(self):
+        rng = random.Random(6)
+        for _ in range(12):
+            self._assert_matches_reference(random_ballean(rng, max_size=8))
 
     def test_exp_of_cellular_is_cellular(self):
         rng = random.Random(3)
@@ -279,6 +316,52 @@ class TestMu:
             y = FiniteSubset.of(g, rng.sample(elems, rng.randint(1, 4)))
             z = FiniteSubset.of(g, rng.sample(elems, rng.randint(1, 4)))
             assert mu_set_distance(y, z) == mu_set_distance(z, y)
+
+
+class TestMinCover:
+    def test_matches_brute_force(self):
+        # sets may reach outside the universe, repeat, nest, or fail to cover
+        rng = random.Random(7)
+        outcomes = set()
+        for _ in range(400):
+            universe = frozenset(rng.sample(range(10), rng.randint(0, 8)))
+            sets = [frozenset(rng.sample(range(10), rng.randint(0, 4)))
+                    for _ in range(rng.randint(0, 12))]
+            mask = lambda s: sum(1 << x for x in s)
+            got = _min_cover_size(mask(universe), [mask(s) for s in sets])
+            want = min_cover_brute(universe, sets)
+            assert got == want, (sorted(universe), [sorted(s) for s in sets])
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+
+class TestMuCliffs:
+    def test_two_points_in_elementary_abelian(self):
+        # |Y| = 2 in (Z/2)^8, where the cover search once ran for minutes
+        g = FiniteAbelianGroup((2,) * 8)
+        elems = list(g.elements())
+        for seed in range(6):
+            rng = random.Random(seed)
+            for size in (20, 40):
+                y = frozenset(rng.sample(elems, 2))
+                z = frozenset(rng.sample(elems, size))
+                rep = mu_report(FiniteSubset(g, y), FiniteSubset(g, z))
+                assert rep.mu == ExtNat.finite(mu_two_points_elementary(y, z))
+                assert rep.single_set >= rep.mu
+
+    def test_large_coset_pair_gives_the_index(self):
+        # |H| = 16, |K| = 4 in (Z/4)^3, shifted by the same element
+        g = FiniteAbelianGroup((4, 4, 4))
+        shift = (3, 2, 1)
+        for h_gens, k_gens in ((((3, 3, 3), (1, 0, 3)), ((3, 3, 0),)),
+                               (((0, 3, 1), (1, 3, 0)), ((1, 1, 2),))):
+            h, k = closure(g, h_gens), closure(g, k_gens)
+            assert (len(h), len(k)) == (16, 4)
+            y = FiniteSubset(g, frozenset(g.add(shift, x) for x in h))
+            z = FiniteSubset(g, frozenset(g.add(shift, x) for x in k))
+            rep = mu_report(y, z)
+            assert rep.mu == ExtNat.finite(element_count_mu(g, h, k))
+            assert rep.single_set >= rep.mu
 
 
 class TestHamming:

@@ -147,6 +147,11 @@ class TestExitCodes:
         assert run(["dist", "--group", "prufer@4", "--sub", "H_1",
                     "--sub", "H_2"]) == 2
 
+    def test_usage_error_non_prime_p_option(self, capsys):
+        assert run(["component", "--family", "prufer", "--p", "4"]) == 2
+        assert run(["ball", "--family", "prufer", "--p", "4", "--n", "1",
+                    "--K", "2"]) == 2
+
     def test_usage_error_kz_in_higher_rank(self, capsys):
         assert run(["dist", "--group", "Z^2", "--sub", "3Z",
                     "--sub", "span[(1,0)]"]) == 2
