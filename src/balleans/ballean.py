@@ -21,6 +21,7 @@ Point = Hashable
 Radius = Hashable
 
 EXP_SUPPORT_LIMIT = 12
+LZ_ENUMERATION_LIMIT = 10 ** 6
 PRODUCT_SIZE_LIMIT = 4096
 
 
@@ -427,11 +428,17 @@ def exp_ball_membership(z: FiniteSubset, y: FiniteSubset,
 
 def exp_ball_enumerate_centered_identity(parent: Parent,
                                          radius: Iterable) -> set[frozenset]:
-    """All Z with Z ∈ exp B({e}, F); every such Z lies inside {e} ∪ F."""
+    """All Z with Z ∈ exp B({e}, F); every such Z lies inside {e} ∪ F.
+
+    Every nonempty subset of {e} ∪ F ∪ -F is tried, so a ball of more than
+    EXP_SUPPORT_LIMIT points is refused."""
     f = symmetrize_radius(parent, radius)
     e = _identity(parent)
     center = FiniteSubset.of(parent, [e])
     universe = sorted(group_ball(parent, e, f))
+    if len(universe) > EXP_SUPPORT_LIMIT:
+        raise ValueError(f"radius ball has {len(universe)} points; exp "
+                         f"enumeration allows at most {EXP_SUPPORT_LIMIT}")
     out = set()
     for size in range(1, len(universe) + 1):
         for combo in itertools.combinations(universe, size):

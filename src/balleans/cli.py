@@ -332,16 +332,15 @@ def _cmd_mu(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.suite == "all":
+        if args.max_coord is not None:
+            raise UsageError("--max-coord needs a single suite that takes it")
         reports = run_all(seed=args.seed)
     else:
-        fn = SUITES.get(args.suite)
-        if fn is None:
-            raise UsageError(f"unknown suite {args.suite!r}")
-        kwargs = {}
-        varnames = fn.__code__.co_varnames[:fn.__code__.co_argcount]
-        if "seed" in varnames:
-            kwargs["seed"] = args.seed
-        if args.max_coord is not None and "max_coord" in varnames:
+        fn, options = SUITES[args.suite]
+        if args.max_coord is not None and "max_coord" not in options:
+            raise UsageError(f"suite {args.suite} takes no --max-coord")
+        kwargs = {"seed": args.seed} if "seed" in options else {}
+        if args.max_coord is not None:
             kwargs["max_coord"] = args.max_coord
         reports = [fn(**kwargs)]
     _emit([r.to_json() for r in reports])

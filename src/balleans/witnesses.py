@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .ballean import HammingPoint
+from .ballean import LZ_ENUMERATION_LIMIT, HammingPoint
 from .groups import FAGSubgroup, FiniteAbelianGroup, _is_prime, fag_log_distance
 from .lattices import ExtNat, Lattice, lattice_from_generators
 
@@ -299,57 +299,102 @@ def _int_log(m: int, p: int) -> int:
 # ball enumerators for the subgroup spaces of Z and the Pruefer groups
 
 
-def _subgroup_generated_mod(n: int, g: int) -> frozenset:
-    """The cyclic subgroup of Z/nZ generated by g (n >= 1)."""
-    if n == 1:
-        return frozenset({0})
-    step = math.gcd(g, n)
-    return frozenset(range(0, n, step))
+# For n, k >= 1 write g = gcd(n, k), n = g*s and k = g*t, so gcd(s, t) = 1.
+# The image of kZ in Z/n is the s-element subgroup {0, g, ..., (s-1)g}, and
+# the image of nZ in Z/k is the t-element subgroup {0, g, ..., (t-1)g}. Every
+# k is (n/s)*t for exactly one divisor s of n and one t coprime to s, so the
+# balls below walk those pairs instead of a range of k: the loops follow the
+# size of the answer. A pair with gcd(s, t) = c > 1 would name the k of the
+# pair (s/c, t/c) under a test at least as strict, so the coprimality test
+# changes no answer; it keeps each k from being tested twice.
+
+
+def _check_budget(family: str, count: int, what: str) -> None:
+    if count > LZ_ENUMERATION_LIMIT:
+        raise ValueError(f"{family} ball needs {count} {what}; LZ enumeration "
+                         f"allows at most {LZ_ENUMERATION_LIMIT}")
+
+
+def _divisors_upto(n: int, top: int, family: str) -> list[int]:
+    """The divisors of n that are <= top, in increasing order.
+
+    Trial division by 1..min(top, isqrt(n)) finds them all: a divisor above
+    isqrt(n) is n/a for a divisor a below it, and when top < isqrt(n) no
+    divisor <= top lies above isqrt(n).
+    """
+    trials = min(top, math.isqrt(n))
+    _check_budget(family, trials, "trial divisions")
+    low = [a for a in range(1, trials + 1) if n % a == 0]
+    return low + [n // a for a in reversed(low) if trials < n // a <= top]
 
 
 def lz_exp_ball_general(n: int, radius: Iterable[int]) -> set[int]:
     """{k : kZ in exp B(nZ, F)} for an arbitrary finite radius set F.
 
-    kZ lies inside F + nZ exactly when its image in Z/nZ, the cyclic subgroup
-    generated by gcd(k, n), sits inside the image of F; symmetrically with n
-    and k swapped. The second condition forces the k/gcd(n,k)-element image
-    subgroup into a set of at most |F| + 1 residues, which bounds
-    k <= n * (|F| + 1) and makes the enumeration finite.
+    F is the radius symmetrised, with 0 added. kZ lies inside F + nZ exactly
+    when its s-element image {0, g, ..., (s-1)g} in Z/n sits inside F mod n,
+    and nZ lies inside F + kZ exactly when {0, g, ..., (t-1)g} sits inside
+    F mod k (g, s, t as above). Both images must fit into at most |F|
+    residues, so s <= |F| and t <= |F|: the loop runs over the divisors
+    s <= |F| of n that pass the first test and the t <= |F| coprime to s.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    f = set(radius) | {-x for x in radius} | {0}
-    bound = n * len(f)
+    f = {0}
+    for x in radius:
+        f |= {x, -x}
+    size = len(f)
+    mod_n = {x % n for x in f}
+    divisors = [s for s in _divisors_upto(n, size, "LZ-exp")
+                if all(j * (n // s) in mod_n for j in range(s))]
+    _check_budget("LZ-exp", len(divisors) * size, "candidates")
     out = set()
-    qn = frozenset(x % n for x in f) if n > 1 else frozenset({0})
-    for k in range(1, bound + 1):
-        if not _subgroup_generated_mod(n, math.gcd(k, n)) <= qn:
-            continue
-        qk = frozenset(x % k for x in f) if k > 1 else frozenset({0})
-        if _subgroup_generated_mod(k, math.gcd(n, k)) <= qk:
-            out.add(k)
+    for s in divisors:
+        g = n // s
+        for t in range(1, size + 1):
+            if math.gcd(s, t) != 1:
+                continue
+            k = g * t
+            mod_k = {x % k for x in f}
+            if all(j * g in mod_k for j in range(t)):
+                out.add(k)
     return out
 
 
 def lz_exp_ball(n: int, m: int) -> set[int]:
-    """{k : kZ in exp B(nZ, [-m, m])}; equal to {n} whenever n > 3m."""
+    """{k : kZ in exp B(nZ, [-m, m])}, in closed form; {n} whenever n > 3m.
+
+    With g, s, t as above, the multiples of g mod n lie within m of 0 exactly
+    when the farthest one, g * floor(s/2), does; likewise mod k with t. So k
+    is in the ball iff g * floor(s/2) <= m and g * floor(t/2) <= m, that is
+    t <= 2 * floor(m/g) + 1. For s >= 2, g * floor(s/2) = n * floor(s/2) / s
+    >= n/3, with equality at s = 3; so n > 3m leaves s = 1, g = n, t = 1.
+    """
     if m < 0:
         raise ValueError("radius bound must be >= 0")
-    return lz_exp_ball_general(n, range(1, m + 1))
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > 3 * m:
+        return {n}
+    steps = [n // s for s in _divisors_upto(n, 2 * m + 1, "LZ-exp")
+             if n // s * (s // 2) <= m]
+    _check_budget("LZ-exp", sum(2 * (m // g) + 1 for g in steps), "candidates")
+    return {g * t for g in steps for t in range(1, 2 * (m // g) + 2)
+            if math.gcd(n // g, t) == 1}
 
 
 def lz_log_ball(n: int, bound: int) -> set[int]:
-    """{m : mu'(nZ, mZ) <= bound} with mu' = max(lcm/n, lcm/m)."""
+    """{m : mu'(nZ, mZ) <= bound} with mu' = max(lcm/n, lcm/m).
+
+    With g = gcd(n, m), n = g*a and m = g*b, lcm = g*a*b, so mu' = max(b, a):
+    the ball is {(n/a) * b : a | n, a <= bound, b <= bound, gcd(a, b) = 1}.
+    """
     if n < 1 or bound < 1:
         raise ValueError("n and the bound must be >= 1")
-    out = set()
-    for m in range(-(-n // bound), n * bound + 1):
-        if m < 1:
-            continue
-        l = n * m // math.gcd(n, m)
-        if max(l // n, l // m) <= bound:
-            out.add(m)
-    return out
+    divisors = _divisors_upto(n, bound, "LZ-log")
+    _check_budget("LZ-log", len(divisors) * bound, "candidates")
+    return {n // a * b for a in divisors for b in range(1, bound + 1)
+            if math.gcd(a, b) == 1}
 
 
 def prufer_ball(p: int, level: int, bound: int) -> set[int]:

@@ -10,6 +10,7 @@ the package is a genuine two-route check rather than the same code twice.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -234,3 +235,49 @@ def mu_two_points_elementary(y, z):
                   for g in itertools.product((0, 1), repeat=len(a)) if g != zero]
     backward = 1 + min_cover_brute(y - z, translates)
     return max(forward, backward)
+
+
+def _subgroup_generated_mod(n: int, g: int) -> frozenset:
+    """The cyclic subgroup of Z/nZ generated by g (n >= 1)."""
+    if n == 1:
+        return frozenset({0})
+    step = math.gcd(g, n)
+    return frozenset(range(0, n, step))
+
+
+def lz_exp_scan(n: int, radius) -> set[int]:
+    """{k : kZ in exp B(nZ, F)} by testing every k <= n * |F|.
+
+    kZ lies inside F + nZ exactly when its image in Z/nZ, the cyclic subgroup
+    generated by gcd(k, n), sits inside the image of F; symmetrically with n
+    and k swapped. The second condition forces the k/gcd(n,k)-element image
+    subgroup into a set of at most |F| + 1 residues, which bounds
+    k <= n * (|F| + 1) and makes the enumeration finite.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    f = set(radius) | {-x for x in radius} | {0}
+    bound = n * len(f)
+    out = set()
+    qn = frozenset(x % n for x in f) if n > 1 else frozenset({0})
+    for k in range(1, bound + 1):
+        if not _subgroup_generated_mod(n, math.gcd(k, n)) <= qn:
+            continue
+        qk = frozenset(x % k for x in f) if k > 1 else frozenset({0})
+        if _subgroup_generated_mod(k, math.gcd(n, k)) <= qk:
+            out.add(k)
+    return out
+
+
+def lz_log_scan(n: int, bound: int) -> set[int]:
+    """{m : max(lcm/n, lcm/m) <= bound} by testing every m in [n/bound, n*bound]."""
+    if n < 1 or bound < 1:
+        raise ValueError("n and the bound must be >= 1")
+    out = set()
+    for m in range(-(-n // bound), n * bound + 1):
+        if m < 1:
+            continue
+        l = n * m // math.gcd(n, m)
+        if max(l // n, l // m) <= bound:
+            out.add(m)
+    return out

@@ -254,6 +254,14 @@ class TestGroupExpBalls:
                     brute.add(frozenset(z))
         assert got == brute
 
+    def test_enumerate_refuses_large_radius_ball(self):
+        g = FiniteAbelianGroup((64,))
+        with pytest.raises(ValueError, match="radius ball has 13 points; exp "
+                           "enumeration allows at most 12"):
+            exp_ball_enumerate_centered_identity(g, range(1, 7))
+        assert len(exp_ball_enumerate_centered_identity(
+            g, [1, 2, 3, 4, 5, 32])) == 2 ** 12 - 1
+
     def test_g_exp_fixture(self):
         g = FiniteAbelianGroup((6,))
         y = FiniteSubset.of(g, [0, 3])

@@ -156,5 +156,21 @@ class TestExitCodes:
         assert run(["dist", "--group", "Z^2", "--sub", "3Z",
                     "--sub", "span[(1,0)]"]) == 2
 
+    def test_domain_error_lz_ball_over_budget(self, capsys):
+        assert run(["ball", "--family", "LZ-log", "--n", "1",
+                    "--K", "1000000000"]) == 1
+        assert run(["ball", "--family", "LZ-exp", "--n", "1000000",
+                    "--m", "1000000000"]) == 1
+        assert "LZ enumeration allows at most" in capsys.readouterr().err
+
+    def test_domain_error_exp_ball_over_limit(self, capsys):
+        assert run(["exp-ball", "--group", "Z(64)",
+                    "--radius", "1,2,3,4,5,6"]) == 1
+        assert "radius ball has 13 points" in capsys.readouterr().err
+
+    def test_usage_error_option_the_suite_lacks(self, capsys):
+        assert run(["verify", "--suite", "tree", "--max-coord", "3"]) == 2
+        assert run(["verify", "--suite", "all", "--max-coord", "3"]) == 2
+
     def test_domain_error_missing_file(self, capsys):
         assert run(["profile", "--descriptor", "/nonexistent.json"]) == 1

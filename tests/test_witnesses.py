@@ -30,6 +30,8 @@ from balleans.witnesses import (
 )
 from balleans.ballean import hamming_distance
 
+from oracles import lz_exp_scan, lz_log_scan
+
 
 class TestIota:
     def test_fixtures(self):
@@ -160,6 +162,83 @@ class TestLzBalls:
         for m in range(1, n * bound * 2):
             l = n * m // math.gcd(n, m)
             assert (m in ball) == (max(l // n, l // m) <= bound)
+
+
+
+class TestLzBallEnumerators:
+    """The divisor enumerations against the candidate scans of
+    `tests/oracles.py`, the windowed set arithmetic of `suites`, and each
+    other."""
+
+    def test_exp_matches_scan(self):
+        rng = random.Random(4)
+        cases = [(n, m) for n in range(1, 40) for m in range(0, 9)]
+        cases += [(rng.randint(1, 600), rng.randint(0, 8)) for _ in range(60)]
+        for n, m in cases:
+            assert lz_exp_ball(n, m) == lz_exp_scan(n, range(1, m + 1)), (n, m)
+
+    def test_exp_matches_window(self):
+        # the windowed route costs O(n^2 m^2), so it stays at small n
+        rng = random.Random(5)
+        for _ in range(25):
+            n, m = rng.randint(1, 30), rng.randint(0, 4)
+            assert lz_exp_ball(n, m) == lz_exp_ball_windowed(n, m), (n, m)
+
+    def test_general_matches_closed_form(self):
+        rng = random.Random(6)
+        cases = [(n, m) for n in range(1, 60) for m in range(0, 9)]
+        cases += [(rng.randint(1, 600), rng.randint(0, 8)) for _ in range(200)]
+        for n, m in cases:
+            assert lz_exp_ball_general(n, range(1, m + 1)) == lz_exp_ball(n, m)
+
+    def test_general_matches_scan(self):
+        rng = random.Random(7)
+        for _ in range(800):
+            n = rng.randint(1, 120)
+            radius = [rng.randint(-3 * n, 3 * n)
+                      for _ in range(rng.randint(0, 6))]
+            assert lz_exp_ball_general(n, radius) == lz_exp_scan(n, radius), \
+                (n, radius)
+        for n in range(1, 30):
+            assert lz_exp_ball_general(n, []) == lz_exp_scan(n, []) == {n}
+
+    def test_log_matches_scan(self):
+        rng = random.Random(8)
+        cases = [(n, k) for n in range(1, 200) for k in range(1, 9)]
+        cases += [(rng.randint(200, 2000), rng.randint(1, 8)) for _ in range(150)]
+        for n, k in cases:
+            assert lz_log_ball(n, k) == lz_log_scan(n, k), (n, k)
+
+    @pytest.mark.parametrize("n, bound", [(3 * 10 ** 7, 2), (720720, 12)])
+    def test_log_large_members(self, n, bound):
+        ball = lz_log_ball(n, bound)
+        assert n in ball
+        for m in ball:
+            l = n * m // math.gcd(n, m)
+            assert max(l // n, l // m) <= bound
+            g = math.gcd(n, m)
+            a, b = n // g, m // g
+            assert a <= bound and b <= bound and m == n // a * b
+
+    def test_exp_singleton_above_3m(self):
+        assert lz_exp_ball(10 ** 30, 10 ** 6) == {10 ** 30}
+        assert lz_exp_ball(3 * 10 ** 6 + 1, 10 ** 6) == {3 * 10 ** 6 + 1}
+        assert lz_exp_ball(3 * 10 ** 6, 10 ** 6) == {10 ** 6, 2 * 10 ** 6,
+                                                      3 * 10 ** 6}
+
+    def test_budget_refusals(self):
+        with pytest.raises(ValueError, match="LZ-log ball needs 1000000000 "
+                           "candidates; LZ enumeration allows at most 1000000"):
+            lz_log_ball(1, 10 ** 9)
+        with pytest.raises(ValueError, match="LZ-log ball needs 1000000000 "
+                           "trial divisions"):
+            lz_log_ball(10 ** 30, 10 ** 9)
+        with pytest.raises(ValueError, match="LZ-exp ball needs [0-9]+ "
+                           "candidates; LZ enumeration allows at most 1000000"):
+            lz_exp_ball(10 ** 6, 10 ** 9)
+        with pytest.raises(ValueError, match="LZ-exp ball needs [0-9]+ "
+                           "trial divisions"):
+            lz_exp_ball(10 ** 30, 10 ** 30)
 
 
 class TestPruferBall:
