@@ -428,24 +428,21 @@ def exp_ball_membership(z: FiniteSubset, y: FiniteSubset,
 
 def exp_ball_enumerate_centered_identity(parent: Parent,
                                          radius: Iterable) -> set[frozenset]:
-    """All Z with Z ∈ exp B({e}, F); every such Z lies inside {e} ∪ F.
+    """All Z with Z ∈ exp B({e}, F): every nonempty subset of {e} ∪ F ∪ -F.
 
-    Every nonempty subset of {e} ∪ F ∪ -F is tried, so a ball of more than
-    EXP_SUPPORT_LIMIT points is refused."""
+    Such a Z lies in B(e, F), and e = z + (-z) lies in B(Z, F) for any z in
+    Z, as F ∪ -F is symmetric. A ball of more than EXP_SUPPORT_LIMIT points
+    is refused. In a ZWindow the balls B(Z, F) reach 2·max|F|, so that sum
+    is checked against the window."""
     f = symmetrize_radius(parent, radius)
-    e = _identity(parent)
-    center = FiniteSubset.of(parent, [e])
-    universe = sorted(group_ball(parent, e, f))
+    universe = sorted(f)  # = B(e, F)
     if len(universe) > EXP_SUPPORT_LIMIT:
         raise ValueError(f"radius ball has {len(universe)} points; exp "
                          f"enumeration allows at most {EXP_SUPPORT_LIMIT}")
-    out = set()
-    for size in range(1, len(universe) + 1):
-        for combo in itertools.combinations(universe, size):
-            z = FiniteSubset(parent, frozenset(combo))
-            if exp_ball_membership(z, center, radius):
-                out.add(z.elements)
-    return out
+    if isinstance(parent, ZWindow):
+        parent.add(max(f), max(f))
+    return {frozenset(combo) for size in range(1, len(universe) + 1)
+            for combo in itertools.combinations(universe, size)}
 
 
 def g_exp_ball(y: FiniteSubset, radius: Iterable) -> set[frozenset]:

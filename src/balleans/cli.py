@@ -92,6 +92,8 @@ def parse_subgroup(expr: str, ctx: GroupCtx):
             body = s[2:]
             level_str, _, p_str = body.partition("@")
             level = _parse_int(level_str, "level")
+            if level < 0:
+                raise UsageError("level must be >= 0")
             if p_str and _parse_int(p_str, "prime") != p:
                 raise UsageError("subgroup prime differs from group context")
             return PruferSubgroup(p, level)
@@ -171,15 +173,14 @@ def _parse_vector(tok: str, ambient: int) -> list[int]:
         raise UsageError(f"expected a vector like (a,b): {tok!r}")
     coords = [_parse_int(c, "coordinate") for c in t[1:-1].split(",")]
     if len(coords) != ambient:
-        raise UsageError("vector arity does not match the ambient rank")
+        raise UsageError(f"{t} needs {ambient} coordinates, got {len(coords)}")
     return coords
 
 
-def _parse_element(tok: str, g: FiniteAbelianGroup):
+def _parse_element(tok: str, g: FiniteAbelianGroup) -> tuple[int, ...]:
+    """A k-tuple (a,b,...) of g, or a bare int when g is cyclic."""
     t = tok.strip()
-    if t.startswith("(") and t.endswith(")"):
-        return tuple(_parse_int(c, "coordinate") for c in t[1:-1].split(","))
-    return _parse_int(t, "element")
+    return tuple(_parse_vector(t if t.startswith("(") else f"({t})", g.k))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +300,6 @@ def _cmd_exp_ball(args) -> int:
     if not isinstance(ctx, FiniteAbelianGroup):
         raise ValueError("exp-ball enumeration needs a finite group context")
     radius = [_parse_element(tok, ctx) for tok in _split_top(args.radius)]
-    radius = [ctx.normalize(r) for r in radius]
     balls = exp_ball_enumerate_centered_identity(ctx, radius)
     members = sorted(sorted(z) for z in balls)
     _emit({"group": args.group, "radius": args.radius,

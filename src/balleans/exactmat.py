@@ -1,14 +1,19 @@
-"""Exact integer matrix kernel: Hermite and Smith normal forms, determinants,
-and integer linear solving.
+"""Exact integer matrix kernel: one echelon routine and what follows from it.
 
 Everything here works on rectangular sequences of Python ints, so all results
 are exact at arbitrary size. No floating point is used anywhere in this module;
 index products like p1^m1 * ... * pn^mn overflow machine words quickly, which
 is why arbitrary precision is mandatory.
+
+`_echelon` is the only elimination: the row HNF, the left kernel (from the
+transform block of [m | I]), integer solving (one kernel of [target; m]) and
+the Smith form (the HNF of rows and of columns in turn) all come from it.
+`abs_det` keeps its own Bareiss elimination as an independent route.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -80,21 +85,8 @@ def _echelon(h: list[list[int]], ncols: int) -> list[tuple[int, int]]:
     return pivots
 
 
-def _augment(rows: list[list[int]]) -> list[list[int]]:
-    """[m | I]: each row followed by its unit vector."""
-    n = len(rows)
-    return [r + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-
-
-def row_hnf(m: Matrix) -> list[list[int]]:
-    """Canonical row-style Hermite Normal Form of the row span of m.
-
-    Zero rows removed, row echelon, pivots positive, entries above each pivot
-    reduced into [0, pivot). Two matrices have the same row span over the
-    integers iff their HNFs are identical, so lattice equality becomes
-    bit-equality on the output.
-    """
-    h = _as_rows(m)
+def _hnf(h: list[list[int]]) -> list[list[int]]:
+    """`row_hnf` of rows already checked by `_as_rows`; h is overwritten."""
     pivots = _echelon(h, len(h[0]) if h else 0)
     for r, c in pivots:  # reduce the entries above each pivot
         row = h[r]
@@ -105,6 +97,17 @@ def row_hnf(m: Matrix) -> list[list[int]]:
     return h[: len(pivots)]
 
 
+def row_hnf(m: Matrix) -> list[list[int]]:
+    """Canonical row-style Hermite Normal Form of the row span of m.
+
+    Zero rows removed, row echelon, pivots positive, entries above each pivot
+    reduced into [0, pivot). Two matrices have the same row span over the
+    integers iff their HNFs are identical, so lattice equality becomes
+    bit-equality on the output.
+    """
+    return _hnf(_as_rows(m))
+
+
 def left_kernel(m: Matrix) -> list[list[int]]:
     """Canonical basis of the integer left kernel {u : u * m = 0}.
 
@@ -113,80 +116,44 @@ def left_kernel(m: Matrix) -> list[list[int]]:
     """
     rows = _as_rows(m)
     ncols = len(rows[0]) if rows else 0
-    aug = _augment(rows)
+    aug = [r + [int(i == j) for j in range(len(rows))] for i, r in enumerate(rows)]
     rank = len(_echelon(aug, ncols))
-    return row_hnf([r[ncols:] for r in aug[rank:]])
+    return _hnf([r[ncols:] for r in aug[rank:]])
+
+
+def divisibility_chain(ds: Sequence[int]) -> list[int]:
+    """Merge pairs by (gcd, lcm) until each entry divides the next.
+
+    diag(a, b) has Smith form diag(gcd, lcm), and Z(a) ⊕ Z(b) ≅ Z(gcd) ⊕
+    Z(lcm), so the result is the invariant-factor chain of the list. Zeros
+    move to the end.
+    """
+    ds = list(ds)
+    for i in range(len(ds)):
+        for j in range(i + 1, len(ds)):
+            ds[i], ds[j] = math.gcd(ds[i], ds[j]), math.lcm(ds[i], ds[j])
+    return ds
 
 
 def snf(m: Matrix) -> list[int]:
     """Smith Normal Form diagonal d1 | d2 | ... with trailing zeros.
 
     The returned list has length min(rows, cols); nonzero entries are positive
-    and each divides the next.
+    and each divides the next. The row HNF of the matrix and of its transpose
+    is taken in turn until every row has one nonzero entry (Kannan–Bachem
+    1979), and those are merged by gcd/lcm. This ends: from the second pass
+    on the matrix is square, nonsingular and triangular, and each pass makes
+    the first unfinished pivot the gcd of its row (or column), so it either
+    drops to a proper divisor or divides that line and is isolated in its
+    row and column, where later passes leave it.
     """
-    a = _as_rows(m)
-    nr = len(a)
-    nc = len(a[0]) if a else 0
-    size = min(nr, nc)
-    diag: list[int] = []
-    t = 0
-    while t < size:
-        piv = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        i0, j0 = piv
-        a[t], a[i0] = a[i0], a[t]
-        if j0 != t:
-            for row in a:
-                row[t], row[j0] = row[j0], row[t]
-        while True:
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        for j in range(t, nc):
-                            a[i][j] -= q * a[t][j]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        for i in range(t, nr):
-                            a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        for i in range(t, nr):
-                            a[i][t], a[i][j] = a[i][j], a[i][t]
-                        dirty = True
-            if dirty:
-                continue
-            # pivot now alone in its row and column; enforce divisibility
-            fix = None
-            d = a[t][t]
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % d:
-                        fix = i
-                        break
-                if fix is not None:
-                    break
-            if fix is None:
-                break
-            for j in range(t, nc):
-                a[t][j] += a[fix][j]
-        diag.append(abs(a[t][t]))
-        t += 1
-    diag.extend([0] * (size - len(diag)))
-    return diag
+    h = _as_rows(m)
+    size = min(len(h), len(h[0]) if h else 0)
+    h = _hnf(h)
+    while any(len(r) - r.count(0) != 1 for r in h):
+        h = _hnf([list(col) for col in zip(*h)])
+    pivots = divisibility_chain(sum(r) for r in h)  # one nonzero per row
+    return pivots + [0] * (size - len(pivots))
 
 
 def abs_det(m: Matrix) -> int:
@@ -215,28 +182,12 @@ def abs_det(m: Matrix) -> int:
 def solve_integer(m: Matrix, target: Sequence[int]) -> Optional[list[int]]:
     """Integer coefficients c with c * m == target, or None if there are none.
 
-    Any valid witness is acceptable; the one returned comes from forward
-    substitution against the echelon form, mapped back through the unimodular
-    transform.
+    (u0, u) is in the left kernel of [target; m] iff u0 * target = -u * m.
+    The u0 of those vectors are the multiples of the first entry of the
+    canonical kernel basis, since only its first row can start nonzero. So a
+    solution exists iff that row starts with 1, and then c = -(the rest).
     """
-    rows = _as_rows(m)
-    t = list(target)
-    if rows and len(t) != len(rows[0]):
-        raise ValueError("dimension mismatch")
-    if not rows:
-        return None if any(t) else []
-    ncols = len(t)
-    aug = _augment(rows)
-    coeffs = [0] * len(rows)
-    for r, c in _echelon(aug, ncols):
-        row = aug[r]
-        q, rem = divmod(t[c], row[c])
-        if rem:
-            return None
-        if q:
-            for j in range(c, ncols):
-                t[j] -= q * row[j]
-            coeffs = [x + q * u for x, u in zip(coeffs, row[ncols:])]
-    if any(t):
+    kernel = left_kernel([list(target)] + [list(r) for r in m])
+    if not kernel or kernel[0][0] != 1:
         return None
-    return coeffs
+    return [-u for u in kernel[0][1:]]

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
+from .exactmat import divisibility_chain
 from .lattices import (
     ExtNat,
     INFINITE,
@@ -52,13 +53,9 @@ class FiniteAbelianGroup:
     def from_orders(cls, orders: Sequence[int]) -> "FiniteAbelianGroup":
         """Canonicalize an arbitrary direct sum of cyclic groups: merging
         pairs by Z(a) ⊕ Z(b) ≅ Z(gcd) ⊕ Z(lcm) leaves a divisibility chain."""
-        ds = list(orders)
-        if any(o < 1 for o in ds):
+        if any(o < 1 for o in orders):
             raise ValueError("cyclic orders must be >= 1")
-        for i in range(len(ds)):
-            for j in range(i + 1, len(ds)):
-                ds[i], ds[j] = math.gcd(ds[i], ds[j]), math.lcm(ds[i], ds[j])
-        return cls(tuple(d for d in ds if d > 1))
+        return cls(tuple(d for d in divisibility_chain(orders) if d > 1))
 
     @property
     def k(self) -> int:

@@ -192,18 +192,19 @@ def lz_exp_ball_windowed(n: int, m: int) -> set[int]:
     arithmetic inside the window [-W, W], W = 4 n (2m + 1)."""
     bound = n * (2 * m + 1)
     w = 4 * bound
-    f = set(range(-m, m + 1))
+    f = range(-m, m + 1)
     out = set()
-    multiples_n = {x for x in range(-w, w + 1) if x % n == 0}
-    blown_n = {x + d for x in multiples_n for d in f}
+
+    def multiples(k: int, reach: int) -> range:  # kZ ∩ [-reach, reach]
+        return range(-(reach // k) * k, reach + 1, k)
+
+    blown_n = {x + d for x in multiples(n, w) for d in f}
+    inner_n = multiples(n, w - m)
     for k in range(1, bound + 1):
-        multiples_k = {x for x in range(-w, w + 1) if x % k == 0}
-        inner_k = {x for x in multiples_k if abs(x) <= w - m}
-        if not inner_k <= blown_n:
+        if not all(x in blown_n for x in multiples(k, w - m)):
             continue
-        blown_k = {x + d for x in multiples_k for d in f}
-        inner_n = {x for x in multiples_n if abs(x) <= w - m}
-        if inner_n <= blown_k:
+        blown_k = {x + d for x in multiples(k, w) for d in f}
+        if all(x in blown_k for x in inner_n):
             out.add(k)
     return out
 

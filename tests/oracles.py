@@ -54,6 +54,30 @@ def frac_det(rows) -> Fraction:
     return det
 
 
+def smith_invariants(rows) -> list[int]:
+    """The Smith diagonal from determinantal divisors: d_k = D_k / D_(k-1),
+    with D_k the gcd of all k x k minors (each a `frac_det`), and zeros past
+    the rank. The search for D_k stops at the first minor that makes it 1."""
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    size = min(nr, nc)
+    out, prev = [], 1
+    for k in range(1, size + 1):
+        g = 0
+        for r in itertools.combinations(range(nr), k):
+            for c in itertools.combinations(range(nc), k):
+                g = math.gcd(g, int(frac_det([[rows[i][j] for j in c]
+                                              for i in r])))
+                if g == 1:
+                    break
+            if g == 1:
+                break
+        if g == 0:
+            return out + [0] * (size - len(out))
+        out.append(g // prev)
+        prev = g
+    return out
+
+
 def in_integer_span(x, rows) -> bool:
     """Is x an integer combination of rows? Decided by canonical reduction:
     the residue is zero exactly on lattice points."""

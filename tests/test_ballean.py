@@ -262,6 +262,34 @@ class TestGroupExpBalls:
         assert len(exp_ball_enumerate_centered_identity(
             g, [1, 2, 3, 4, 5, 32])) == 2 ** 12 - 1
 
+    def test_enumerate_zwindow_matches_membership(self):
+        # the subsets the membership test accepts, and a raise exactly where
+        # the membership test raises: some B(Z, F) leaves the window, which
+        # happens iff 2·max|F| > half-width
+        import itertools
+        for hw in range(0, 9):
+            w = ZWindow(hw)
+            center = FiniteSubset.of(w, [0])
+            for radius in ([], [1], [-2], [1, 3], [2, -4], [4]):
+                if any(abs(r) > hw for r in radius):
+                    continue
+                universe = sorted(symmetrize_radius(w, radius))
+                try:
+                    expected = {
+                        frozenset(c) for size in range(1, len(universe) + 1)
+                        for c in itertools.combinations(universe, size)
+                        if exp_ball_membership(FiniteSubset(w, frozenset(c)),
+                                               center, radius)}
+                except ValueError as e:
+                    assert str(e) == "sum leaves the working window"
+                    assert 2 * max(map(abs, radius)) > hw
+                    with pytest.raises(ValueError,
+                                       match="sum leaves the working window"):
+                        exp_ball_enumerate_centered_identity(w, radius)
+                else:
+                    assert 2 * max(map(abs, radius), default=0) <= hw
+                    assert exp_ball_enumerate_centered_identity(w, radius) == expected
+
     def test_g_exp_fixture(self):
         g = FiniteAbelianGroup((6,))
         y = FiniteSubset.of(g, [0, 3])

@@ -156,6 +156,24 @@ class TestExitCodes:
         assert run(["dist", "--group", "Z^2", "--sub", "3Z",
                     "--sub", "span[(1,0)]"]) == 2
 
+    def test_usage_error_element_arity(self, capsys):
+        # an element with the wrong arity, or a bare int in a non-cyclic
+        # group, is found while parsing, as inside span[...]
+        assert run(["dist", "--group", "Z(12)", "--sub", "gen{(1,2)}",
+                    "--sub", "gen{1}"]) == 2
+        assert run(["mu", "--group", "Z(2,4)", "--set", "{1}",
+                    "--set", "{(0,1)}"]) == 2
+        assert run(["mu", "--group", "Z(2,4)", "--set", "{(0,1)}",
+                    "--set", "{(1,1,1)}"]) == 2
+        assert run(["exp-ball", "--group", "Z(12)", "--radius", "(1,2)"]) == 2
+        assert "needs 1 coordinates, got 2" in capsys.readouterr().err
+
+    def test_usage_error_negative_level(self, capsys):
+        assert run(["dist", "--group", "prufer@2", "--sub", "H_-1@2",
+                    "--sub", "H_1@2"]) == 2
+        assert run(["dist", "--group", "Z", "--sub", "-2Z",
+                    "--sub", "2Z"]) == 2
+
     def test_domain_error_lz_ball_over_budget(self, capsys):
         assert run(["ball", "--family", "LZ-log", "--n", "1",
                     "--K", "1000000000"]) == 1

@@ -1,10 +1,12 @@
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from balleans import exactmat
-from oracles import frac_det, frac_rank, in_integer_span
+from oracles import frac_det, frac_rank, in_integer_span, smith_invariants
 
 
 def rand_matrix(rng, rows, cols, lim=9):
@@ -15,6 +17,35 @@ small = st.integers(min_value=-9, max_value=9)
 matrices = st.integers(1, 4).flatmap(
     lambda c: st.lists(st.lists(small, min_size=c, max_size=c),
                        min_size=1, max_size=4))
+# up to 6x6 with entries in [-99, 99]: the old Smith elimination grew its
+# entries to millions of bits from 5x5 on
+wide = st.integers(min_value=-99, max_value=99)
+wide_matrices = st.integers(1, 6).flatmap(
+    lambda c: st.lists(st.lists(wide, min_size=c, max_size=c),
+                       min_size=1, max_size=6))
+wide_square = st.integers(2, 6).flatmap(
+    lambda n: st.lists(st.lists(wide, min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+def rand_smith_case(rng):
+    """Up to 6x6 with entries in [-99, 99]. In about a third the last row is
+    zero or the sum or difference of two rows drawn in [-49, 49], so the rank
+    drops; in another third every row carries a common factor."""
+    r, c = rng.randint(1, 6), rng.randint(1, 6)
+    kind = rng.randrange(3)
+    if kind == 0 and r > 2:
+        m = rand_matrix(rng, r, c, 49)
+        sign = rng.choice((-1, 0, 1))
+        m[-1] = [x + sign * y for x, y in zip(m[0], m[1])] if sign else [0] * c
+    elif kind == 1:
+        m = []
+        for _ in range(r):
+            f = rng.choice((1, 2, 3, 6))
+            m.append([f * x for x in rand_matrix(rng, 1, c, 99 // f)[0]])
+    else:
+        m = rand_matrix(rng, r, c, 99)
+    return m
 
 
 class TestRowHnf:
@@ -100,33 +131,64 @@ class TestLeftKernel:
             assert in_integer_span(u, k)
 
 
+def check_smith_chain(d, m):
+    """Positive nonzero entries, each dividing the next, zeros after them,
+    as many nonzeros as the rank."""
+    nz = [x for x in d if x]
+    assert all(x > 0 for x in nz)
+    for a, b in zip(nz, nz[1:]):
+        assert b % a == 0
+    assert d == nz + [0] * (len(d) - len(nz))
+    assert len(d) == min(len(m), len(m[0]))
+    assert len(nz) == frac_rank(m)
+
+
 class TestSnf:
     def test_fixtures(self):
         assert exactmat.snf([[2, 0], [0, 3]]) == [1, 6]
         assert exactmat.snf([[4, 0], [0, 6]]) == [2, 12]
         assert exactmat.snf([[0, 0], [0, 0]]) == [0, 0]
+        assert exactmat.snf([[2, 0, 0]]) == [2]
+        assert exactmat.snf([[0], [4], [6]]) == [2]
+        assert exactmat.snf([]) == []
 
-    @given(matrices)
+    @given(wide_matrices)
     @settings(max_examples=60, deadline=None)
     def test_divisibility_chain(self, m):
-        d = exactmat.snf(m)
-        nz = [x for x in d if x]
-        assert all(x > 0 for x in nz)
-        for a, b in zip(nz, nz[1:]):
-            assert b % a == 0
-        assert d == nz + [0] * (len(d) - len(nz))
-        assert len(nz) == frac_rank(m)
+        check_smith_chain(exactmat.snf(m), m)
 
-    @given(st.integers(2, 4).flatmap(
-        lambda n: st.lists(st.lists(small, min_size=n, max_size=n),
-                           min_size=n, max_size=n)))
+    @given(wide_square)
     @settings(max_examples=60, deadline=None)
     def test_product_equals_det(self, m):
+        assert math.prod(exactmat.snf(m)) == abs(frac_det(m))
+
+    def test_matches_determinantal_divisors(self):
+        rng = random.Random(12)
+        for _ in range(1000):
+            m = rand_smith_case(rng)
+            assert exactmat.snf(m) == smith_invariants(m), m
+
+    @pytest.mark.parametrize("n", [5, 6, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_past_the_old_cliff(self, n, seed):
+        # the old elimination did not finish a 5x5 matrix at seed 0
+        m = rand_matrix(random.Random(seed), n, n, 99)
+        t0 = time.perf_counter()
         d = exactmat.snf(m)
-        prod = 1
-        for x in d:
-            prod *= x
-        assert prod == abs(frac_det(m))
+        assert time.perf_counter() - t0 < 1.0
+        assert d == smith_invariants(m)
+        assert math.prod(d) == exactmat.abs_det(m)
+        check_smith_chain(d, m)
+
+    def test_matches_sympy(self):
+        normalforms = pytest.importorskip("sympy.matrices.normalforms")
+        from sympy import Matrix, ZZ
+        rng = random.Random(13)
+        for _ in range(200):
+            m = rand_smith_case(rng)
+            s = normalforms.smith_normal_form(Matrix(m), domain=ZZ)
+            assert exactmat.snf(m) == [abs(s[i, i]) for i in
+                                       range(min(len(m), len(m[0])))], m
 
 
 class TestAbsDet:
@@ -152,7 +214,14 @@ class TestSolveInteger:
         assert exactmat.solve_integer([], [0, 0]) == []
         assert exactmat.solve_integer([], [1]) is None
 
-    @given(matrices, st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+    def test_rank_deficient_fixtures(self):
+        m = [[2, 4], [1, 2], [3, 6]]
+        got = exactmat.solve_integer(m, [5, 10])
+        assert [sum(c * r[j] for c, r in zip(got, m)) for j in range(2)] == [5, 10]
+        assert exactmat.solve_integer(m, [1, 3]) is None
+        assert exactmat.solve_integer([[0, 0]], [0, 0]) is not None
+
+    @given(wide_matrices, st.lists(st.integers(-9, 9), min_size=1, max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_witness_is_valid(self, m, coeffs):
         coeffs = (coeffs + [0] * len(m))[: len(m)]
@@ -164,7 +233,7 @@ class TestSolveInteger:
                    for j in range(len(m[0]))]
         assert rebuilt == target
 
-    @given(matrices, st.lists(small, min_size=1, max_size=4))
+    @given(wide_matrices, st.lists(wide, min_size=1, max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_agrees_with_membership_oracle(self, m, target):
         target = (target + [0] * len(m[0]))[: len(m[0])]

@@ -178,10 +178,10 @@ class TestLzBallEnumerators:
             assert lz_exp_ball(n, m) == lz_exp_scan(n, range(1, m + 1)), (n, m)
 
     def test_exp_matches_window(self):
-        # the windowed route costs O(n^2 m^2), so it stays at small n
         rng = random.Random(5)
-        for _ in range(25):
-            n, m = rng.randint(1, 30), rng.randint(0, 4)
+        cases = [(600, 8), (360, 8), (1, 8)]
+        cases += [(rng.randint(1, 600), rng.randint(0, 8)) for _ in range(25)]
+        for n, m in cases:
             assert lz_exp_ball(n, m) == lz_exp_ball_windowed(n, m), (n, m)
 
     def test_general_matches_closed_form(self):
