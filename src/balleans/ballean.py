@@ -516,34 +516,24 @@ def _min_cover_size(universe: int, sets: Iterable[int]) -> Optional[int]:
     return best_known
 
 
-def _free_add(parent: Parent, a, b):
-    """Group addition for translate bookkeeping.
+def _translate_cover_masks(parent: Parent, base: frozenset,
+                           targets: Sequence) -> dict:
+    """For each useful translate g, the mask of the targets inside g + base,
+    bit i standing for targets[i]. A target t lies in g + base exactly when
+    g = t - b for some b in base.
 
     Window bounds are deliberately not enforced here: covering translates of
     window subsets are differences of window elements and may exceed the
     window while every covered point still lies inside it.
     """
     if isinstance(parent, ZWindow):
-        return a + b
-    return parent.add(a, b)
-
-
-def _free_neg(parent: Parent, a):
-    if isinstance(parent, ZWindow):
-        return -a
-    return parent.neg(a)
-
-
-def _translate_cover_masks(parent: Parent, base: frozenset,
-                           targets: Sequence) -> dict:
-    """For each useful translate g, the mask of the targets inside g + base,
-    bit i standing for targets[i]. A target t lies in g + base exactly when
-    g = t - b for some b in base."""
+        pairs = ((i, t - b) for i, t in enumerate(targets) for b in base)
+    else:
+        negs = [parent.neg(b) for b in base]
+        pairs = ((i, parent.add(t, nb)) for i, t in enumerate(targets) for nb in negs)
     out: dict = {}
-    for i, t in enumerate(targets):
-        for b in base:
-            g = _free_add(parent, t, _free_neg(parent, b))
-            out[g] = out.get(g, 0) | 1 << i
+    for i, g in pairs:
+        out[g] = out.get(g, 0) | 1 << i
     return out
 
 

@@ -118,13 +118,24 @@ class FAGSubgroup:
                 raise ValueError("lift must contain diag(m) Z^k")
 
     @classmethod
+    def _canonical(cls, parent: FiniteAbelianGroup, lift: Lattice) -> "FAGSubgroup":
+        """A subgroup whose lift is known to contain diag(m)·Z^k, built
+        without the containment check of `__post_init__`."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "parent", parent)
+        object.__setattr__(sub, "lift", lift)
+        return sub
+
+    @classmethod
     def from_elements(cls, parent: FiniteAbelianGroup,
                       gens: Iterable[Union[int, Sequence[int]]]) -> "FAGSubgroup":
+        """The subgroup generated by gens; the diag(m) rows are among the
+        lift's generators, so its containment holds by construction."""
         ms = parent.invariant_factors
         rows = [list(parent.normalize(g)) for g in gens]
         for i, m in enumerate(ms):
             rows.append([m if j == i else 0 for j in range(len(ms))])
-        return cls(parent, lattice_from_generators(len(ms), rows))
+        return cls._canonical(parent, lattice_from_generators(len(ms), rows))
 
     @classmethod
     def trivial(cls, parent: FiniteAbelianGroup) -> "FAGSubgroup":
@@ -143,7 +154,18 @@ class FAGSubgroup:
         return member(list(self.parent.normalize(x)), self.lift)
 
     def elements(self) -> frozenset:
-        return frozenset(e for e in self.parent.elements() if self.contains(e))
+        """The coset box of the lift's row HNF, whose row i has its pivot
+        d_i | m_i in column i: the points sum c_i·row_i mod m with
+        0 <= c_i < m_i/d_i are each element once (coordinate i fixes c_i
+        given the rows above it), so |H| = prod m_i/d_i."""
+        ms = self.parent.invariant_factors
+        pts = [self.parent.zero]
+        for i, row in enumerate(self.lift.basis):
+            steps = [tuple(c * v % m for v, m in zip(row, ms))
+                     for c in range(1, ms[i] // row[i])]
+            pts += [tuple((a + b) % m for a, b, m in zip(p, q, ms))
+                    for q in steps for p in pts]
+        return frozenset(pts)
 
 
 def fag_log_distance(a: FAGSubgroup, b: FAGSubgroup) -> ExtNat:
@@ -155,17 +177,33 @@ def fag_log_distance(a: FAGSubgroup, b: FAGSubgroup) -> ExtNat:
 
 
 def all_subgroups(parent: FiniteAbelianGroup, max_order: int = 200) -> list[FAGSubgroup]:
-    """Every subgroup, by closing generator tuples of length <= k."""
+    """Every subgroup, ordered by increasing order and then by lift basis.
+
+    The lifts diag(m)·Z^k ⊆ L ⊆ Z^k are enumerated as canonical row HNFs:
+    row i is (0, ..., 0, d_i, a_i,i+1, ..., a_i,k-1) with d_i | m_i and each
+    a_i,c in [0, d_c). Rows are chosen from the bottom up, and a partial
+    basis is kept only if m_i·e_i lies in the span of its rows i..k-1; rows
+    added later have their pivots left of column i, so they cannot change
+    that test.
+    """
     if parent.order > max_order:
         raise ValueError("group too large for exhaustive subgroup enumeration")
-    elems = list(parent.elements())
-    seen: dict[Lattice, FAGSubgroup] = {}
-    for gens in itertools.combinations_with_replacement(elems, parent.k):
-        sub = FAGSubgroup.from_elements(parent, gens)
-        seen.setdefault(sub.lift, sub)
-    trivial = FAGSubgroup.trivial(parent)
-    seen.setdefault(trivial.lift, trivial)
-    return list(seen.values())
+    ms, k = parent.invariant_factors, parent.k
+    partial: list[tuple[tuple[int, ...], ...]] = [()]
+    for i in reversed(range(k)):
+        m = ms[i]
+        m_e_i = [m if j == i else 0 for j in range(k)]
+        grown = []
+        for rows in partial:
+            boxes = [range(r[c]) for c, r in enumerate(rows, i + 1)]
+            for d in (d for d in range(1, m + 1) if m % d == 0):
+                for tail in itertools.product(*boxes):
+                    basis = ((0,) * i + (d,) + tail,) + rows
+                    if member(m_e_i, Lattice(k, basis)):
+                        grown.append(basis)
+        partial = grown
+    subs = [FAGSubgroup._canonical(parent, Lattice(k, basis)) for basis in partial]
+    return sorted(subs, key=lambda s: (s.order, s.lift.basis))
 
 
 # ---------------------------------------------------------------------------

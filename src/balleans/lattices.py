@@ -140,7 +140,7 @@ def member(x: Sequence[int], lat: Lattice) -> bool:
 def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
     """A + B: one HNF of the stacked canonical bases."""
     _check_same_ambient(a, b)
-    h = exactmat.row_hnf(a.basis + b.basis)
+    h = exactmat._hnf([list(r) for r in a.basis + b.basis])
     return Lattice(a.ambient, tuple(map(tuple, h)))
 
 

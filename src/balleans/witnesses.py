@@ -226,11 +226,18 @@ def cyclic_subgroup_tree(g: FiniteAbelianGroup) -> TreeCertificate:
     prime index; for a p-group this graph is a tree rooted at the trivial
     subgroup with height log_p of the exponent."""
     p = _single_prime(g)
-    subs: dict = {}
+    ms = g.invariant_factors
+    subs = []
+    generators: set = set()  # every element known to generate a vertex
     for x in g.elements():
+        if x in generators:
+            continue
         s = FAGSubgroup.from_elements(g, [x])
-        subs.setdefault(s.lift, s)
-    vertices = sorted(subs.values(), key=lambda s: (s.order, s.lift.basis))
+        subs.append(s)
+        n = s.order
+        generators.update(tuple(c * v % m for v, m in zip(x, ms))
+                          for c in range(1, n + 1) if math.gcd(c, n) == 1)
+    vertices = sorted(subs, key=lambda s: (s.order, s.lift.basis))
     orders = [v.order for v in vertices]
     elem_sets = [v.elements() for v in vertices]
     edges = []

@@ -5,6 +5,8 @@ Gaussian elimination for ranks and membership, a self-contained Hermite
 reduction for canonical residues, breadth-first coset counting for subgroup
 indices, and additive-closure subgroup enumeration — so that agreement with
 the package is a genuine two-route check rather than the same code twice.
+Some are the package's former routes, kept as references; those call into
+the package only where the old route did.
 """
 
 from __future__ import annotations
@@ -200,6 +202,39 @@ def all_subgroup_element_sets(parent, max_gens: int = 2) -> set[frozenset]:
         for gens in itertools.combinations(elems, k):
             out.add(closure(parent, gens))
     return out
+
+
+def elements_by_membership(sub) -> frozenset:
+    """The package's former `FAGSubgroup.elements`: every element of the
+    parent that passes the subgroup's membership test."""
+    return frozenset(e for e in sub.parent.elements() if sub.contains(e))
+
+
+def all_subgroups_by_closure(parent) -> list:
+    """The package's former `all_subgroups`: the subgroups generated by every
+    k-tuple of elements (k the rank), deduplicated by lift."""
+    from balleans.groups import FAGSubgroup
+
+    seen = {}
+    for gens in itertools.combinations_with_replacement(list(parent.elements()), parent.k):
+        sub = FAGSubgroup.from_elements(parent, gens)
+        seen.setdefault(sub.lift, sub)
+    trivial = FAGSubgroup.trivial(parent)
+    seen.setdefault(trivial.lift, trivial)
+    return list(seen.values())
+
+
+def subspace_count(p: int, k: int) -> int:
+    """The number of subgroups of (Z/p)^k: the sum over j of the Gaussian
+    binomials [k choose j]_p, each a product of (p^(k-i) - 1)/(p^(i+1) - 1)."""
+    total = 0
+    for j in range(k + 1):
+        num = den = 1
+        for i in range(j):
+            num *= p ** (k - i) - 1
+            den *= p ** (i + 1) - 1
+        total += num // den
+    return total
 
 
 def element_count_mu(parent, a_set, b_set) -> int:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -25,8 +26,15 @@ from balleans.groups import (
     iso_points_classify,
     prufer_log_distance,
 )
-from balleans.lattices import ExtNat, INFINITE
-from oracles import all_subgroup_element_sets, closure, element_count_mu
+from balleans.lattices import ExtNat, INFINITE, lattice_from_generators
+from oracles import (
+    all_subgroup_element_sets,
+    all_subgroups_by_closure,
+    closure,
+    element_count_mu,
+    elements_by_membership,
+    subspace_count,
+)
 
 
 def brute_order(orders, x):
@@ -105,6 +113,33 @@ class TestFAGSubgroup:
         with pytest.raises(ValueError):
             fag_log_distance(a, b)
 
+    def test_lift_must_contain_diag_m(self):
+        g = FiniteAbelianGroup((2, 4))
+        with pytest.raises(ValueError, match="diag"):
+            FAGSubgroup(g, lattice_from_generators(2, [[2, 0], [0, 8]]))
+        with pytest.raises(ValueError, match="diag"):
+            FAGSubgroup(g, lattice_from_generators(2, [[1, 1]]))
+        with pytest.raises(ValueError, match="ambient"):
+            FAGSubgroup(g, lattice_from_generators(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+        s = FAGSubgroup.from_elements(g, [(1, 1)])
+        assert FAGSubgroup(g, lattice_from_generators(2, [[1, 1], [0, 2]])) == s
+
+    def test_elements_match_membership_filter(self):
+        for factors in ((12,), (2, 4, 8), (3, 9), (4, 4, 4), (2,) * 5):
+            for s in all_subgroups(FiniteAbelianGroup(factors)):
+                elems = s.elements()
+                assert elems == elements_by_membership(s)
+                assert s.order == len(elems)
+        rng = random.Random(11)
+        for _ in range(150):
+            g = FiniteAbelianGroup.from_orders(
+                [rng.choice([2, 3, 4, 6, 8, 9]) for _ in range(rng.randint(1, 3))])
+            gens = [tuple(rng.randrange(m) for m in g.invariant_factors)
+                    for _ in range(rng.randint(0, 3))]
+            s = FAGSubgroup.from_elements(g, gens)
+            assert s.elements() == elements_by_membership(s) == closure(g, gens)
+            assert s.order == len(s.elements())
+
     def test_all_subgroups_matches_closure_enumeration(self):
         for factors in ((12,), (2, 4), (3, 9)):
             g = FiniteAbelianGroup(factors)
@@ -112,6 +147,28 @@ class TestFAGSubgroup:
             assert {s.elements() for s in subs} == all_subgroup_element_sets(g)
             for s in subs:
                 assert s.order == len(s.elements())
+
+    def test_all_subgroups_matches_tuple_closure(self):
+        for factors in ((4, 4, 4), (2, 4, 8), (3, 9)):
+            g = FiniteAbelianGroup(factors)
+            subs = all_subgroups(g)
+            old = all_subgroups_by_closure(g)
+            assert len(subs) == len({s.lift for s in subs}) == len(old)
+            assert {s.elements() for s in subs} == {s.elements() for s in old}
+            assert [(s.order, s.lift.basis) for s in subs] == \
+                sorted((s.order, s.lift.basis) for s in subs)
+
+    def test_all_subgroups_counts_match_gaussian_binomials(self):
+        assert [subspace_count(2, k) for k in range(7)] == [1, 2, 5, 16, 67, 374, 2825]
+        assert [subspace_count(3, k) for k in range(5)] == [1, 2, 6, 28, 212]
+        for p, top in ((2, 6), (3, 4)):
+            for k in range(top + 1):
+                g = FiniteAbelianGroup((p,) * k)
+                assert len(all_subgroups(g)) == subspace_count(p, k)
+
+    def test_all_subgroups_guard(self):
+        with pytest.raises(ValueError, match="too large"):
+            all_subgroups(FiniteAbelianGroup((2,) * 8))
 
     def test_distance_matches_element_counting(self):
         g = FiniteAbelianGroup((2, 4))
