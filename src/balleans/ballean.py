@@ -11,6 +11,7 @@ metric on top.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence, Union
 
@@ -64,25 +65,34 @@ class ExplicitBallean:
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
+        """Points and radii through a typed codec, so tuple and frozenset
+        identifiers come back as they went in; each ball is one
+        [point, radius, members] entry, in support and then radius order."""
         return {
-            "support": list(self.support),
-            "radii": list(self.radii),
-            "balls": {f"({x},{a})": sorted(self.balls[(x, a)])
-                      for x in self.support for a in self.radii},
+            "support": [_encode_id(x) for x in self.support],
+            "radii": [_encode_id(a) for a in self.radii],
+            "balls": [[_encode_id(x), _encode_id(a),
+                       _encode_set(self.balls[(x, a)])]
+                      for x in self.support for a in self.radii],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "ExplicitBallean":
-        sup = [_norm_id(x) for x in data["support"]]
-        rad = [_norm_id(a) for a in data["radii"]]
+        if not isinstance(data, dict) or not all(
+                isinstance(data.get(k), list) for k in ("support", "radii", "balls")):
+            raise ValueError("a ballean needs the lists support, radii and balls")
+        sup = [_decode_id(x) for x in data["support"]]
+        rad = [_decode_id(a) for a in data["radii"]]
+        keys = {(x, a) for x in sup for a in rad}
         table = {}
-        for key, members in data["balls"].items():
-            inner = key.strip()
-            if not (inner.startswith("(") and inner.endswith(")")):
-                raise ValueError(f"bad ball key: {key!r}")
-            x_str, a_str = inner[1:-1].rsplit(",", 1)
-            table[(_norm_id(x_str), _norm_id(a_str))] = frozenset(
-                _norm_id(m) for m in members)
+        for entry in data["balls"]:
+            if not (isinstance(entry, list) and len(entry) == 3
+                    and isinstance(entry[2], list)):
+                raise ValueError(f"bad ball entry: {entry!r}")
+            key = (_decode_id(entry[0]), _decode_id(entry[1]))
+            if key not in keys:
+                raise ValueError(f"ball of an unknown point or radius: {entry!r}")
+            table[key] = frozenset(_decode_id(m) for m in entry[2])
         b = cls.from_table(sup, rad, table)
         report = validate_ballean(b)
         if not report.ok:
@@ -90,15 +100,42 @@ class ExplicitBallean:
         return b
 
 
-def _norm_id(x):
-    """JSON round-trip identifier normalization: ints stay ints."""
-    if isinstance(x, int):
+# Identifier codec: int, str and None stand for themselves; a tuple is
+# {"tuple": [...]} and a frozenset {"frozenset": [...]}, members sorted.
+
+
+def _encode_id(x):
+    if x is None or isinstance(x, str) or (isinstance(x, int)
+                                          and not isinstance(x, bool)):
         return x
-    s = str(x).strip()
-    try:
-        return int(s)
-    except ValueError:
-        return s
+    if isinstance(x, tuple):
+        return {"tuple": [_encode_id(v) for v in x]}
+    if isinstance(x, frozenset):
+        return {"frozenset": _encode_set(x)}
+    raise ValueError(f"cannot serialize identifier {x!r}")
+
+
+def _encode_set(xs) -> list:
+    return sorted((_encode_id(x) for x in xs), key=_id_order)
+
+
+def _id_order(e):
+    if isinstance(e, int):
+        return (0, e, "")
+    return (1, 0, json.dumps(e, sort_keys=True))
+
+
+def _decode_id(e):
+    if e is None or isinstance(e, str) or (isinstance(e, int)
+                                          and not isinstance(e, bool)):
+        return e
+    if isinstance(e, dict) and len(e) == 1:
+        (kind, items), = e.items()
+        if kind == "tuple" and isinstance(items, list):
+            return tuple(_decode_id(v) for v in items)
+        if kind == "frozenset" and isinstance(items, list):
+            return frozenset(_decode_id(v) for v in items)
+    raise ValueError(f"bad identifier: {e!r}")
 
 
 def discrete_ballean(support: Iterable[Point],

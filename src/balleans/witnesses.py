@@ -196,8 +196,16 @@ def elementary_abelian_correspondence(p: int, f: Iterable[int],
 
 def _coordinate_subgroup(parent: FiniteAbelianGroup, idx: frozenset,
                          width: int) -> FAGSubgroup:
-    gens = [[int(j == i) for j in range(width)] for i in sorted(idx)]
-    return FAGSubgroup.from_elements(parent, gens)
+    """H_F, lifted to <e_i : i in F> + p·Z^w = diag(d) with d_i = 1 for i in
+    F and p otherwise; a diagonal with positive pivots is already the
+    canonical row HNF, so no elimination runs."""
+    p = parent.exponent
+    basis = []
+    for i in range(width):
+        row = [0] * width
+        row[i] = 1 if i in idx else p
+        basis.append(tuple(row))
+    return FAGSubgroup._canonical(parent, Lattice(width, tuple(basis)))
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,16 @@ def all_subgroups_by_closure(parent) -> list:
     return list(seen.values())
 
 
+def coordinate_subgroup_by_closure(parent, idx, width: int):
+    """The package's former `witnesses._coordinate_subgroup`: the subgroup
+    generated by the coordinate vectors e_i, i in idx, through
+    `FAGSubgroup.from_elements` and its row HNF."""
+    from balleans.groups import FAGSubgroup
+
+    gens = [[int(j == i) for j in range(width)] for i in sorted(idx)]
+    return FAGSubgroup.from_elements(parent, gens)
+
+
 def subspace_count(p: int, k: int) -> int:
     """The number of subgroups of (Z/p)^k: the sum over j of the Gaussian
     binomials [k choose j]_p, each a product of (p^(k-i) - 1)/(p^(i+1) - 1)."""
@@ -264,6 +274,38 @@ def exp_hyperballean_reference(b):
             balls[(y, a)] = frozenset(
                 z for z in subsets if z <= blown[y] and y <= blown[z])
     return tuple(subsets), tuple(b.radii), balls
+
+
+def exp_power_inclusion_by_sets(b, max_n: int = 4) -> bool:
+    """The package's former `suites.exp_power_inclusion_holds`: walk the exp
+    balls of `suites.exp_hyperballean_of(b)` as frozensets and compare every
+    reached Z with B^n(Y), and Y with B^n(Z), by repeated `set_ball`."""
+    from balleans import suites
+
+    expb = suites.exp_hyperballean_of(b)
+    for a in b.radii:
+        blown = {}  # (subset, n) -> n-fold base ball
+        for y in expb.support:
+            cur = {y}
+            for n in range(1, max_n + 1):
+                cur = set().union(*(expb.ball(z, a) for z in cur))
+                for z in cur:
+                    zn = blown.get((z, n))
+                    if zn is None:
+                        zn = blown[(z, n)] = _set_ball_power(b, z, a, n)
+                    yn = blown.get((y, n))
+                    if yn is None:
+                        yn = blown[(y, n)] = _set_ball_power(b, y, a, n)
+                    if not (z <= yn and y <= zn):
+                        return False
+    return True
+
+
+def _set_ball_power(b, s, a, n: int):
+    cur = s
+    for _ in range(n):
+        cur = b.set_ball(cur, a)
+    return cur
 
 
 def min_cover_brute(universe, sets):

@@ -418,3 +418,38 @@ class TestJson:
         bad = three_point().to_json()
         with pytest.raises(ValueError):
             ExplicitBallean.from_json(bad)
+
+    def test_lossless_round_trip_of_derived_balleans(self):
+        rng = random.Random(41)
+        a = bounded_ballean(range(2), radii=["r"])
+        b = discrete_ballean(["x", "y"], radii=[0, 1])
+        derived = [product_ballean([a, b]), coproduct_ballean([a, b]),
+                   exp_hyperballean_of(a), exp_hyperballean_of(b),
+                   product_ballean([coproduct_ballean([a, b]), a]),
+                   exp_hyperballean_of(product_ballean([a, b]))]
+        for _ in range(5):
+            r = random_ballean(rng, max_size=4)
+            derived += [cellularization(r), exp_hyperballean_of(r),
+                        cellularization(product_ballean([r, b]))]
+        for d in derived:
+            again = ExplicitBallean.from_json(json.loads(json.dumps(d.to_json())))
+            assert again == d
+            assert [type(x) for x in again.support] == [type(x) for x in d.support]
+
+    def test_unsupported_or_malformed_identifiers_refused(self):
+        with pytest.raises(ValueError):
+            discrete_ballean([1.5]).to_json()
+        with pytest.raises(ValueError):
+            discrete_ballean([True]).to_json()
+        good = discrete_ballean([(0, 1)]).to_json()
+        for bad_id in ([0, 1], {"tuple": [0], "frozenset": []}, {"set": [0]},
+                       {"tuple": 0}, 1.5, True):
+            data = json.loads(json.dumps(good))
+            data["support"] = [bad_id]
+            with pytest.raises(ValueError):
+                ExplicitBallean.from_json(data)
+        for data in ([], {"support": [0], "radii": ["*"]},
+                     {"support": [0], "radii": ["*"], "balls": [[0, "*"]]},
+                     {"support": [0], "radii": ["*"], "balls": [[1, "*", [1]]]}):
+            with pytest.raises(ValueError):
+                ExplicitBallean.from_json(data)

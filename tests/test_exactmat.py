@@ -13,10 +13,6 @@ def rand_matrix(rng, rows, cols, lim=9):
     return [[rng.randint(-lim, lim) for _ in range(cols)] for _ in range(rows)]
 
 
-small = st.integers(min_value=-9, max_value=9)
-matrices = st.integers(1, 4).flatmap(
-    lambda c: st.lists(st.lists(small, min_size=c, max_size=c),
-                       min_size=1, max_size=4))
 # up to 6x6 with entries in [-99, 99]: the old Smith elimination grew its
 # entries to millions of bits from 5x5 on
 wide = st.integers(min_value=-99, max_value=99)
@@ -56,7 +52,7 @@ class TestRowHnf:
         assert exactmat.row_hnf([]) == []
         assert exactmat.row_hnf([[0, 0], [0, 0]]) == []
 
-    @given(matrices)
+    @given(wide_matrices)
     @settings(max_examples=80, deadline=None)
     def test_idempotent(self, m):
         h = exactmat.row_hnf(m)
@@ -73,14 +69,14 @@ class TestRowHnf:
                   for i in range(3)]
             assert exactmat.row_hnf(um) == exactmat.row_hnf(m)
 
-    @given(matrices)
+    @given(wide_matrices)
     @settings(max_examples=80, deadline=None)
     def test_canonical_under_row_shuffle(self, m):
         h = exactmat.row_hnf(m)
         shuffled = list(reversed(m)) + [m[0]]
         assert exactmat.row_hnf(shuffled) == h
 
-    @given(matrices)
+    @given(wide_matrices)
     @settings(max_examples=80, deadline=None)
     def test_same_integer_span(self, m):
         h = exactmat.row_hnf(m)
@@ -113,7 +109,7 @@ class TestRowHnf:
 
 
 class TestLeftKernel:
-    @given(matrices)
+    @given(wide_matrices)
     @settings(max_examples=80, deadline=None)
     def test_annihilates_and_complete(self, m):
         k = exactmat.left_kernel(m)
@@ -192,8 +188,8 @@ class TestSnf:
 
 
 class TestAbsDet:
-    @given(st.integers(1, 4).flatmap(
-        lambda n: st.lists(st.lists(small, min_size=n, max_size=n),
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(wide, min_size=n, max_size=n),
                            min_size=n, max_size=n)))
     @settings(max_examples=100, deadline=None)
     def test_matches_fraction_determinant(self, m):

@@ -4,11 +4,15 @@ import random
 
 import pytest
 
+from balleans import suites
+from balleans.ballean import ExplicitBallean, discrete_ballean, hamming_distance
 from balleans.groups import FiniteAbelianGroup
 from balleans.lattices import ExtNat, lattice_from_generators, log_subgroup_distance
 from balleans.suites import (
     SUITES,
+    exp_power_inclusion_holds,
     lz_exp_ball_windowed,
+    random_ballean,
     run_all,
     suite_cellular,
     suite_lzball,
@@ -16,6 +20,7 @@ from balleans.suites import (
 from balleans.witnesses import (
     PrimeTuple,
     TaxiPoint,
+    _coordinate_subgroup,
     cyclic_subgroup_tree,
     dlog_closed_form,
     elementary_abelian_correspondence,
@@ -28,9 +33,13 @@ from balleans.witnesses import (
     taxi_distance,
     verify_iota_quasi_isometry,
 )
-from balleans.ballean import hamming_distance
 
-from oracles import lz_exp_scan, lz_log_scan
+from oracles import (
+    coordinate_subgroup_by_closure,
+    exp_power_inclusion_by_sets,
+    lz_exp_scan,
+    lz_log_scan,
+)
 
 
 class TestIota:
@@ -116,6 +125,87 @@ class TestElementaryAbelian:
         for f, fp in itertools.combinations_with_replacement(subsets, 2):
             c, e = elementary_abelian_correspondence(2, f, fp, width=3)
             assert c == e
+
+    def test_diagonal_lift_matches_generated_subgroup(self):
+        for p in (2, 3, 5):
+            for width in range(1, 6):
+                g = FiniteAbelianGroup((p,) * width)
+                for size in range(width + 1):
+                    for f in itertools.combinations(range(width), size):
+                        lifted = _coordinate_subgroup(g, frozenset(f), width)
+                        assert lifted == coordinate_subgroup_by_closure(
+                            g, f, width), (p, width, f)
+
+
+def _outcome(check, b, max_n):
+    try:
+        return check(b, max_n)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestExpPowerInclusion:
+    def test_matches_set_route(self):
+        rng = random.Random(70)
+        for i in range(40):
+            b = random_ballean(rng, max_size=6)
+            for max_n in range(1, 5):
+                assert exp_power_inclusion_holds(b, max_n) is True, (i, max_n)
+                assert exp_power_inclusion_by_sets(b, max_n) is True, (i, max_n)
+
+    def test_out_of_support_entries_raise_like_set_route(self):
+        rng = random.Random(71)
+        outcomes = set()
+        for i in range(300):
+            size = rng.randint(1, 5)
+            radii = ("a", "b")[:rng.randint(1, 2)]
+            # each ball holds its centre and up to three of the support's
+            # points or two points beyond it
+            table = {(x, a): frozenset({x} | set(rng.sample(range(size + 2),
+                                                            rng.randint(0, 3))))
+                     for x in range(size) for a in radii}
+            b = ExplicitBallean(tuple(range(size)), radii, table)
+            outside = any(m >= size for ball in table.values() for m in ball)
+            for max_n in range(1, 5):
+                got = _outcome(exp_power_inclusion_holds, b, max_n)
+                assert got == _outcome(exp_power_inclusion_by_sets, b, max_n), \
+                    (table, max_n)
+                raised = got == "ValueError: unknown point or radius"
+                assert raised == (outside and max_n > 1), (table, max_n)
+                outcomes.add(got)
+        assert outcomes == {True, "ValueError: unknown point or radius"}
+
+    @pytest.mark.parametrize("keep", ["all", "outward", "inward"])
+    def test_inflated_table_is_caught(self, monkeypatch, keep):
+        # the law holds for every table exp_hyperballean_of returns, so make
+        # it return a larger one: every subset, or only the Z within B(Y)
+        # (which breaks the half Y within B^n(Z)), or only the Z with Y
+        # within B(Z) (which breaks the half Z within B^n(Y))
+        real = suites.exp_hyperballean_of
+
+        def inflated(b):
+            e = real(b)
+            blown = {(y, a): b.set_ball(y, a) for y, a in e.balls}
+            kept = {"all": lambda z, y, a: True,
+                    "outward": lambda z, y, a: z <= blown[(y, a)],
+                    "inward": lambda z, y, a: y <= blown[(z, a)]}[keep]
+            return ExplicitBallean(e.support, e.radii, {
+                (y, a): frozenset(z for z in e.support if kept(z, y, a))
+                for y, a in e.balls})
+
+        monkeypatch.setattr(suites, "exp_hyperballean_of", inflated)
+        b = discrete_ballean(range(2))
+        assert exp_power_inclusion_holds(b, 1) is False
+        assert exp_power_inclusion_by_sets(b, 1) is False
+        rng = random.Random(72)
+        results = []
+        for i in range(30):
+            b = random_ballean(rng, max_size=6)
+            for max_n in (1, 3):
+                got = exp_power_inclusion_holds(b, max_n)
+                assert got == exp_power_inclusion_by_sets(b, max_n), (i, max_n)
+                results.append(got)
+        assert False in results and True in results
 
 
 class TestCyclicSubgroupTree:
