@@ -30,7 +30,8 @@ PRODUCT_SIZE_LIMIT = 4096
 class ExplicitBallean:
     """A finite ballean given by its full ball table.
 
-    Construction only normalizes the table; axiom checking is the separate
+    Construction only normalizes the table (and refuses a ball whose key is
+    not in support x radii); axiom checking is the separate
     validate_ballean so that deliberately broken instances can be built and
     reported on.
     """
@@ -44,10 +45,11 @@ class ExplicitBallean:
                    balls: dict) -> "ExplicitBallean":
         sup = tuple(support)
         rad = tuple(radii)
-        table = {}
-        for x in sup:
-            for a in rad:
-                table[(x, a)] = frozenset(balls.get((x, a), {x}))
+        table = {(x, a): frozenset(balls.get((x, a), {x}))
+                 for x in sup for a in rad}
+        stray = [k for k in balls if k not in table]
+        if stray:
+            raise ValueError(f"ball of an unknown point or radius: {stray[0]!r}")
         return cls(sup, rad, table)
 
     def ball(self, x: Point, a: Radius) -> frozenset:
@@ -83,15 +85,12 @@ class ExplicitBallean:
             raise ValueError("a ballean needs the lists support, radii and balls")
         sup = [_decode_id(x) for x in data["support"]]
         rad = [_decode_id(a) for a in data["radii"]]
-        keys = {(x, a) for x in sup for a in rad}
         table = {}
         for entry in data["balls"]:
             if not (isinstance(entry, list) and len(entry) == 3
                     and isinstance(entry[2], list)):
                 raise ValueError(f"bad ball entry: {entry!r}")
             key = (_decode_id(entry[0]), _decode_id(entry[1]))
-            if key not in keys:
-                raise ValueError(f"ball of an unknown point or radius: {entry!r}")
             table[key] = frozenset(_decode_id(m) for m in entry[2])
         b = cls.from_table(sup, rad, table)
         report = validate_ballean(b)
@@ -146,10 +145,10 @@ def discrete_ballean(support: Iterable[Point],
 
 def bounded_ballean(support: Iterable[Point],
                     radii: Iterable[Radius] = ("*",)) -> ExplicitBallean:
-    sup = tuple(support)
+    sup, rad = tuple(support), tuple(radii)
     everything = frozenset(sup)
-    table = {(x, a): everything for x in sup for a in radii}
-    return ExplicitBallean.from_table(sup, radii, table)
+    table = {(x, a): everything for x in sup for a in rad}
+    return ExplicitBallean.from_table(sup, rad, table)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +296,8 @@ def coproduct_ballean(bs: Sequence[ExplicitBallean]) -> ExplicitBallean:
     """
     if not bs:
         raise ValueError("coproduct of an empty list")
+    if any(None in b.radii for b in bs):
+        raise ValueError("a coproduct summand may not have the radius None")
     support = [(i, x) for i, b in enumerate(bs) for x in b.support]
     radii = list(itertools.product(*((None,) + tuple(b.radii) for b in bs)))
     table = {}

@@ -1,9 +1,11 @@
 """Command-line surface: distances, balls, components, saturation, profiles,
 exp-ball enumeration, the mu set metric, and the verification suites.
 
-All results go to stdout as JSON; human diagnostics go to stderr. Exit code 0
-on success, 1 on a domain error (or a verification suite with violations),
-2 on a usage error. Exact integers are authoritative in output; logarithms are
+Each subcommand maps its parsed arguments to a JSON payload; `run` alone
+writes it to stdout and picks the exit code. Human diagnostics go to stderr.
+Exit code 0 on success; 2 on a malformed, missing or out-of-range argument
+(including the log base); 1 on a domain error or a verification suite with
+violations. Exact integers are authoritative in output; logarithms are
 display-only, with the base taken from --base or the BALLEAN_LOG_BASE
 environment variable (default: natural log).
 """
@@ -37,7 +39,7 @@ from .lattices import (
     log_subgroup_distance,
     saturation,
 )
-from .suites import SUITES, run_all
+from .suites import SUITES, run_all, run_suite
 
 
 class UsageError(Exception):
@@ -113,8 +115,7 @@ def parse_subgroup(expr: str, ctx: GroupCtx):
         raise UsageError(f"cannot parse subgroup {expr!r} in Z^{ctx}")
     if isinstance(ctx, FiniteAbelianGroup):
         if s.startswith("gen{") and s.endswith("}"):
-            gens = [_parse_element(tok, ctx)
-                    for tok in _split_top(s[len("gen{"):-1])]
+            gens = _parse_elements(s[len("gen{"):-1], ctx)
             return FAGSubgroup.from_elements(ctx, gens)
         raise UsageError(f"cannot parse subgroup {expr!r} in a finite group")
     raise UsageError("unsupported group context")
@@ -177,23 +178,27 @@ def _parse_vector(tok: str, ambient: int) -> list[int]:
     return coords
 
 
-def _parse_element(tok: str, g: FiniteAbelianGroup) -> tuple[int, ...]:
-    """A k-tuple (a,b,...) of g, or a bare int when g is cyclic."""
-    t = tok.strip()
-    return tuple(_parse_vector(t if t.startswith("(") else f"({t})", g.k))
+def _parse_elements(body: str, g: FiniteAbelianGroup) -> list[tuple[int, ...]]:
+    """Comma-separated k-tuples (a,b,...) of g, or bare ints when g is cyclic:
+    the body of gen{...}, of a {...} set, or of --radius."""
+    return [tuple(_parse_vector(t if t.startswith("(") else f"({t})", g.k))
+            for t in _split_top(body)]
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# argument checks and payload helpers
 
 
 def _log_base(args) -> float:
-    base = getattr(args, "base", None)
+    base = args.base
     if base is None:
         env = os.environ.get("BALLEAN_LOG_BASE")
-        base = float(env) if env else math.e
-    if base <= 1:
-        raise ValueError("log base must be > 1")
+        try:
+            base = float(env) if env else math.e
+        except ValueError:
+            raise UsageError(f"cannot parse BALLEAN_LOG_BASE: {env!r}") from None
+    if not 1 < base < math.inf:
+        raise UsageError(f"log base must be a finite number > 1, got {base}")
     return base
 
 
@@ -203,29 +208,10 @@ def _distance_json(mu: ExtNat, base: float) -> dict:
     return {"mu": mu.to_json(), "log": log, "base": base}
 
 
-def _emit(payload) -> None:
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-
-
-def _cmd_dist(args) -> int:
-    ctx = parse_group(args.group)
-    if len(args.sub) != 2:
-        raise UsageError("dist needs exactly two --sub arguments")
-    a = parse_subgroup(args.sub[0], ctx)
-    b = parse_subgroup(args.sub[1], ctx)
-    if isinstance(ctx, tuple):
-        mu = prufer_log_distance(a, b)
-    elif isinstance(ctx, int):
-        mu = log_subgroup_distance(a, b)
-    else:
-        mu = fag_log_distance(a, b)
-    _emit(_distance_json(mu, _log_base(args)))
-    return 0
+def _require(args, *names: str) -> None:
+    if any(getattr(args, name) is None for name in names):
+        flags = ", ".join(f"--{name}" for name in names)
+        raise UsageError(f"{args.family} needs {flags}")
 
 
 def _require_prime(p: Optional[int]) -> None:
@@ -233,118 +219,115 @@ def _require_prime(p: Optional[int]) -> None:
         raise UsageError(f"prufer needs a prime --p, got {p}")
 
 
-def _cmd_ball(args) -> int:
+def _finite_group(args) -> FiniteAbelianGroup:
+    g = parse_group(args.group)
+    if not isinstance(g, FiniteAbelianGroup):
+        raise UsageError(f"{args.command} needs a finite group, got {args.group!r}")
+    return g
+
+
+# ---------------------------------------------------------------------------
+# subcommands: each maps the parsed arguments to its JSON payload
+
+
+def _cmd_dist(args) -> dict:
+    ctx = parse_group(args.group)
+    if len(args.sub) != 2:
+        raise UsageError("dist needs exactly two --sub arguments")
+    base = _log_base(args)
+    a, b = (parse_subgroup(s, ctx) for s in args.sub)
+    if isinstance(ctx, tuple):
+        mu = prufer_log_distance(a, b)
+    elif isinstance(ctx, int):
+        mu = log_subgroup_distance(a, b)
+    else:
+        mu = fag_log_distance(a, b)
+    return _distance_json(mu, base)
+
+
+def _cmd_ball(args) -> dict:
     from .witnesses import lz_exp_ball, lz_log_ball, prufer_ball
 
     if args.family == "LZ-exp":
-        if args.n is None or args.m is None:
-            raise UsageError("LZ-exp needs --n and --m")
-        ks = sorted(lz_exp_ball(args.n, args.m))
-        _emit({"family": "LZ-exp", "n": args.n, "m": args.m,
-               "members": [f"{k}Z" for k in ks]})
-    elif args.family == "LZ-log":
-        if args.n is None or args.K is None:
-            raise UsageError("LZ-log needs --n and --K")
-        ms = sorted(lz_log_ball(args.n, args.K))
-        _emit({"family": "LZ-log", "n": args.n, "K": args.K,
-               "members": [f"{m}Z" for m in ms]})
-    elif args.family == "prufer":
-        if args.p is None or args.n is None or args.K is None:
-            raise UsageError("prufer needs --p, --n and --K")
-        _require_prime(args.p)
-        levels = sorted(prufer_ball(args.p, args.n, args.K))
-        _emit({"family": "prufer", "p": args.p, "level": args.n, "K": args.K,
-               "members": [f"H_{j}@{args.p}" for j in levels]})
-    else:
-        raise UsageError(f"unknown ball family {args.family!r}")
-    return 0
+        _require(args, "n", "m")
+        return {"family": "LZ-exp", "n": args.n, "m": args.m,
+                "members": [f"{k}Z" for k in sorted(lz_exp_ball(args.n, args.m))]}
+    if args.family == "LZ-log":
+        _require(args, "n", "K")
+        return {"family": "LZ-log", "n": args.n, "K": args.K,
+                "members": [f"{m}Z" for m in sorted(lz_log_ball(args.n, args.K))]}
+    _require(args, "p", "n", "K")
+    _require_prime(args.p)
+    levels = sorted(prufer_ball(args.p, args.n, args.K))
+    return {"family": "prufer", "p": args.p, "level": args.n, "K": args.K,
+            "members": [f"H_{j}@{args.p}" for j in levels]}
 
 
-def _cmd_component(args) -> int:
+def _cmd_component(args) -> dict:
     if args.family == "Z^n":
+        _require(args, "n")
         census = component_census("Z^n", n=args.n)
     elif args.family == "prufer":
         _require_prime(args.p)
         census = component_census("prufer", prime=args.p)
-    elif args.family == "finite":
-        census = component_census("finite_abelian")
     else:
-        raise UsageError(f"unknown component family {args.family!r}")
-    _emit(census.to_json())
-    return 0
+        census = component_census("finite_abelian")
+    return census.to_json()
 
 
-def _cmd_saturate(args) -> int:
+def _cmd_saturate(args) -> dict:
     ctx = parse_group(args.group)
     if not isinstance(ctx, int):
-        raise ValueError("saturation applies to subgroups of Z^n")
+        raise UsageError("saturation applies to subgroups of Z^n")
     sub = parse_subgroup(args.sub, ctx)
-    sat = saturation(sub)
-    _emit({"input": format_subgroup(sub, ctx),
-           "saturation": format_subgroup(sat, ctx)})
-    return 0
+    return {"input": format_subgroup(sub, ctx),
+            "saturation": format_subgroup(saturation(sub), ctx)}
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args) -> dict:
     with open(args.descriptor) as fh:
         d = GroupDescriptor.from_json(json.load(fh))
     iso = iso_points_classify(d)
-    asdim = asdim_classify(d)
-    _emit({"asdim": asdim.to_json(),
-           "iso_points": {"size": str(iso.size), "witness": iso.witness}})
-    return 0
+    return {"asdim": asdim_classify(d).to_json(),
+            "iso_points": {"size": str(iso.size), "witness": iso.witness}}
 
 
-def _cmd_exp_ball(args) -> int:
-    ctx = parse_group(args.group)
-    if not isinstance(ctx, FiniteAbelianGroup):
-        raise ValueError("exp-ball enumeration needs a finite group context")
-    radius = [_parse_element(tok, ctx) for tok in _split_top(args.radius)]
-    balls = exp_ball_enumerate_centered_identity(ctx, radius)
+def _cmd_exp_ball(args) -> dict:
+    g = _finite_group(args)
+    balls = exp_ball_enumerate_centered_identity(g, _parse_elements(args.radius, g))
     members = sorted(sorted(z) for z in balls)
-    _emit({"group": args.group, "radius": args.radius,
-           "members": [[list(e) for e in z] for z in members]})
-    return 0
+    return {"group": args.group, "radius": args.radius,
+            "members": [[list(e) for e in z] for z in members]}
 
 
-def _cmd_mu(args) -> int:
-    ctx = parse_group(args.group)
-    if not isinstance(ctx, FiniteAbelianGroup):
-        raise ValueError("mu needs a finite group context")
+def _cmd_mu(args) -> dict:
+    g = _finite_group(args)
     if len(args.set) != 2:
         raise UsageError("mu needs exactly two --set arguments")
-
-    def parse_set(expr: str) -> FiniteSubset:
+    base = _log_base(args)
+    sets = []
+    for expr in args.set:
         s = expr.strip()
         if not (s.startswith("{") and s.endswith("}")):
             raise UsageError(f"expected a set like {{0,3}}: {expr!r}")
-        elems = [_parse_element(tok, ctx) for tok in _split_top(s[1:-1])]
-        return FiniteSubset.of(ctx, elems)
-
-    y, z = parse_set(args.set[0]), parse_set(args.set[1])
-    report = mu_report(y, z)
-    base = _log_base(args)
+        sets.append(FiniteSubset.of(g, _parse_elements(s[1:-1], g)))
+    report = mu_report(*sets)
     out = _distance_json(report.mu, base)
     out["single_set"] = report.single_set.to_json()
-    _emit(out)
-    return 0
+    return out
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> list:
+    options = {} if args.max_coord is None else {"max_coord": args.max_coord}
     if args.suite == "all":
-        if args.max_coord is not None:
+        if options:
             raise UsageError("--max-coord needs a single suite that takes it")
         reports = run_all(seed=args.seed)
     else:
-        fn, options = SUITES[args.suite]
-        if args.max_coord is not None and "max_coord" not in options:
+        if options and "max_coord" not in SUITES[args.suite][1]:
             raise UsageError(f"suite {args.suite} takes no --max-coord")
-        kwargs = {"seed": args.seed} if "seed" in options else {}
-        if args.max_coord is not None:
-            kwargs["max_coord"] = args.max_coord
-        reports = [fn(**kwargs)]
-    _emit([r.to_json() for r in reports])
-    return 0 if all(r.ok for r in reports) else 1
+        reports = [run_suite(args.suite, seed=args.seed, **options)]
+    return [r.to_json() for r in reports]
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +399,20 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:
         return 2 if e.code else 0
     try:
-        return args.fn(args)
+        payload = args.fn(args)
+        # serialized in full before writing, so a refused value leaves no
+        # partial document on stdout
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    sys.stdout.write(text + "\n")
+    if args.command == "verify" and not all(r["ok"] for r in payload):
+        return 1
+    return 0
 
 
 def main() -> None:

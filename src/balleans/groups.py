@@ -365,20 +365,15 @@ class GroupDescriptor:
     reduced_torsion: tuple[tuple[int, ReducedTorsionPart], ...] = ()
 
     def __post_init__(self) -> None:
-        for p, mult in self.prufer:
-            if not _is_prime(p):
-                raise ValueError("Pruefer primes must be prime")
-            if mult.is_zero:
-                raise ValueError("Pruefer multiplicities must be nonzero")
-        for p, part in self.reduced_torsion:
-            if not _is_prime(p):
-                raise ValueError("reduced torsion primes must be prime")
-        primes = [p for p, _ in self.prufer]
-        if sorted(set(primes)) != sorted(primes) or list(primes) != sorted(primes):
-            raise ValueError("Pruefer primes must be strictly increasing")
-        rprimes = [p for p, _ in self.reduced_torsion]
-        if sorted(set(rprimes)) != sorted(rprimes) or list(rprimes) != sorted(rprimes):
-            raise ValueError("reduced torsion primes must be strictly increasing")
+        if any(mult.is_zero for _, mult in self.prufer):
+            raise ValueError("Pruefer multiplicities must be nonzero")
+        for what, parts in (("Pruefer", self.prufer),
+                            ("reduced torsion", self.reduced_torsion)):
+            primes = [p for p, _ in parts]
+            if not all(map(_is_prime, primes)):
+                raise ValueError(f"{what} primes must be prime")
+            if any(p >= q for p, q in zip(primes, primes[1:])):
+                raise ValueError(f"{what} primes must be strictly increasing")
 
     # -- structural predicates -------------------------------------------
 

@@ -51,8 +51,8 @@ class ExtNat:
         return ExtNat(self.value * other.value)
 
     def log(self, base: float = math.e) -> float:
-        if base <= 1:
-            raise ValueError("logarithm base must be > 1")
+        if not 1 < base < math.inf:
+            raise ValueError("logarithm base must be a finite number > 1")
         if self.value is None:
             return math.inf
         return math.log(self.value) / math.log(base)

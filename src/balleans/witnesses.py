@@ -233,7 +233,7 @@ def cyclic_subgroup_tree(g: FiniteAbelianGroup) -> TreeCertificate:
     """All cyclic subgroups with an edge whenever one sits in the other with
     prime index; for a p-group this graph is a tree rooted at the trivial
     subgroup with height log_p of the exponent."""
-    p = _single_prime(g)
+    p, height = _prime_power(g.exponent)
     ms = g.invariant_factors
     subs = []
     generators: set = set()  # every element known to generate a vertex
@@ -270,44 +270,20 @@ def cyclic_subgroup_tree(g: FiniteAbelianGroup) -> TreeCertificate:
                 seen.add(w)
                 frontier.append(w)
     is_tree = len(edges) == n - 1 and len(seen) == n
-    height = _int_log(g.exponent, p)
     return TreeCertificate(tuple(vertices), tuple(edges), root, height, is_tree)
 
 
-def _single_prime(g: FiniteAbelianGroup) -> int:
-    order = g.order
-    p = None
-    d = 2
-    m = order
-    while d * d <= m:
-        if m % d == 0:
-            p = d
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        if p is not None:
-            raise ValueError("not a p-group")
-        p = m
-    if p is None or any(_strip(mi, p) != 1 for mi in g.invariant_factors):
+def _prime_power(m: int) -> tuple[int, int]:
+    """(p, h) with m = p**h, p prime and h >= 1. A finite abelian group is a
+    p-group iff its exponent is such a power, and h is then the tree height."""
+    p = next((d for d in range(2, math.isqrt(m) + 1) if m % d == 0), m)
+    h = 0
+    while m > 1 and m % p == 0:
+        m //= p
+        h += 1
+    if m != 1 or h == 0:
         raise ValueError("not a p-group")
-    return p
-
-
-def _strip(m: int, p: int) -> int:
-    while m % p == 0:
-        m //= p
-    return m
-
-
-def _int_log(m: int, p: int) -> int:
-    e = 0
-    while m > 1:
-        if m % p:
-            raise ValueError("not a power of the prime")
-        m //= p
-        e += 1
-    return e
+    return p, h
 
 
 # ---------------------------------------------------------------------------

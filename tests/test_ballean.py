@@ -143,6 +143,20 @@ class TestProductCoproduct:
         cop = coproduct_ballean([discrete_ballean([0]), discrete_ballean([0])])
         assert all(len(ball) == 1 for ball in cop.balls.values())
 
+    def test_coproduct_refuses_summand_radius_none(self):
+        # None is the coproduct's own "no radius" marker
+        for radii in ([None], [0, None]):
+            with pytest.raises(ValueError):
+                coproduct_ballean([bounded_ballean(["x", "y"], radii=radii)])
+        with pytest.raises(ValueError):
+            coproduct_ballean([discrete_ballean([0]),
+                               discrete_ballean([1], radii=[None])])
+
+    def test_bounded_ballean_reads_radii_once(self):
+        b = bounded_ballean(["x", "y"], radii=iter(["r"]))
+        assert b.radii == ("r",)
+        assert b.ball("x", "r") == frozenset({"x", "y"})
+
     def test_size_limit(self):
         big = discrete_ballean(range(70))
         with pytest.raises(ValueError):
@@ -413,6 +427,14 @@ class TestJson:
         b = bounded_ballean(range(3), radii=["r"])
         again = ExplicitBallean.from_json(json.loads(json.dumps(b.to_json())))
         assert again.balls == b.balls
+
+    def test_from_table_refuses_ball_outside_support_and_radii(self):
+        for stray in ((1, "r"), (0, "s")):
+            with pytest.raises(ValueError, match="unknown point or radius"):
+                ExplicitBallean.from_table([0], ["r"], {stray: {0}})
+        b = ExplicitBallean.from_table([0, 1], ["r"], {(1, "r"): {0, 1}})
+        assert b.ball(0, "r") == frozenset({0})
+        assert b.ball(1, "r") == frozenset({0, 1})
 
     def test_invalid_rejected_on_load(self):
         bad = three_point().to_json()

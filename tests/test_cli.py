@@ -2,15 +2,22 @@ import json
 
 import pytest
 
+from balleans import suites
 from balleans.cli import format_subgroup, parse_group, parse_subgroup, run
 from balleans.groups import FiniteAbelianGroup, PruferSubgroup
 from balleans.lattices import lattice_from_generators
+from balleans.witnesses import VerificationReport
+
+
+def _not_json(token):
+    raise ValueError(f"{token} is not JSON")
 
 
 def run_json(capsys, argv):
+    """Exit code and parsed stdout; NaN and Infinity fail the parse."""
     code = run(argv)
     out = capsys.readouterr().out
-    return code, (json.loads(out) if out.strip() else None)
+    return code, (json.loads(out, parse_constant=_not_json) if out.strip() else None)
 
 
 class TestParsing:
@@ -125,6 +132,24 @@ class TestOtherCommands:
         assert code == 0
         assert out[0]["ok"] and out[0]["violations"] == []
 
+    def test_verify_failure_prints_report_and_exits_1(self, capsys, monkeypatch):
+        failing = VerificationReport("broken", 1, (("bad", 0),))
+        monkeypatch.setitem(suites.SUITES, "tree",
+                            (lambda: failing, frozenset()))
+        code, out = run_json(capsys, ["verify", "--suite", "tree"])
+        assert code == 1 and out == [failing.to_json()]
+
+    def test_same_argv_twice_same_stdout(self, capsys):
+        for argv in (["dist", "--group", "Z(12)", "--sub", "gen{2}",
+                      "--sub", "gen{3}"],
+                     ["mu", "--group", "Z(6)", "--set", "{0}", "--set", "{0,3}"],
+                     ["verify", "--suite", "lzball"]):
+            outs = []
+            for _ in range(2):
+                assert run(argv) == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] and outs[0] == outs[1]
+
 
 class TestExitCodes:
     def test_usage_error_unknown_command(self, capsys):
@@ -192,3 +217,30 @@ class TestExitCodes:
 
     def test_domain_error_missing_file(self, capsys):
         assert run(["profile", "--descriptor", "/nonexistent.json"]) == 1
+
+    def test_usage_error_component_without_n(self, capsys):
+        assert run(["component", "--family", "Z^n"]) == 2
+        assert "Z^n needs --n" in capsys.readouterr().err
+
+    def test_usage_error_saturate_outside_zn(self, capsys):
+        assert run(["saturate", "--group", "Z(4)", "--sub", "gen{1}"]) == 2
+        assert run(["saturate", "--group", "prufer@2", "--sub", "H_1@2"]) == 2
+
+    def test_usage_error_infinite_group_for_finite_commands(self, capsys):
+        assert run(["exp-ball", "--group", "Z", "--radius", "1"]) == 2
+        assert run(["mu", "--group", "Z^2", "--set", "{0}", "--set", "{1}"]) == 2
+        assert "needs a finite group" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("base", ["1", "0.5", "-2", "nan", "inf"])
+    def test_usage_error_bad_base(self, capsys, base):
+        for argv in (["dist", "--group", "Z", "--sub", "2Z", "--sub", "3Z"],
+                     ["mu", "--group", "Z(6)", "--set", "{0}", "--set", "{3}"]):
+            code, out = run_json(capsys, argv + ["--base", base])
+            assert code == 2 and out is None
+
+    @pytest.mark.parametrize("env", ["abc", "1", "nan", "inf"])
+    def test_usage_error_bad_env_base(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("BALLEAN_LOG_BASE", env)
+        code, out = run_json(capsys, ["dist", "--group", "Z",
+                                      "--sub", "2Z", "--sub", "3Z"])
+        assert code == 2 and out is None

@@ -218,9 +218,15 @@ class TestDescriptors:
     def test_validation(self):
         with pytest.raises(ValueError):
             GroupDescriptor(prufer=((4, CardinalToken.finite(1)),))
-        with pytest.raises(ValueError):
-            GroupDescriptor(prufer=((3, CardinalToken.finite(1)),
-                                    (2, CardinalToken.finite(1))))
+        one = CardinalToken.finite(1)
+        for primes in ((3, 2), (2, 2), (2, 5, 3)):
+            with pytest.raises(ValueError, match="Pruefer primes must be strictly"):
+                GroupDescriptor(prufer=tuple((p, one) for p in primes))
+            with pytest.raises(ValueError, match="reduced torsion primes must be"):
+                GroupDescriptor(reduced_torsion=tuple(
+                    (p, ReducedTorsionPart("finite", p)) for p in primes))
+        GroupDescriptor(prufer=((2, one), (3, one)),
+                        reduced_torsion=((2, ReducedTorsionPart("finite", 4)),))
 
 
 class TestIsoPoints:

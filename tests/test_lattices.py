@@ -34,8 +34,9 @@ class TestExtNat:
         assert ExtNat.finite(8).log(2) == pytest.approx(3.0)
         assert ExtNat.finite(1).log() == 0.0
         assert INFINITE.log() == float("inf")
-        with pytest.raises(ValueError):
-            ExtNat.finite(2).log(1.0)
+        for base in (1.0, 0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                ExtNat.finite(2).log(base)
 
     def test_json_round_trip(self):
         for v in (ExtNat.finite(7), INFINITE):

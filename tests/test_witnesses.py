@@ -226,8 +226,9 @@ class TestCyclicSubgroupTree:
         assert len(cert.vertices) == 2 and cert.height == 1 and cert.is_tree
 
     def test_rejects_non_p_group(self):
-        with pytest.raises(ValueError):
-            cyclic_subgroup_tree(FiniteAbelianGroup((6,)))
+        for orders in ((6,), (2, 6), (), (3, 12)):
+            with pytest.raises(ValueError, match="not a p-group"):
+                cyclic_subgroup_tree(FiniteAbelianGroup(orders))
 
 
 class TestLzBalls:
