@@ -24,6 +24,7 @@ Radius = Hashable
 EXP_SUPPORT_LIMIT = 12
 LZ_ENUMERATION_LIMIT = 10 ** 6
 PRODUCT_SIZE_LIMIT = 4096
+ZERO_ONE = bytes.maketrans(b"01", b"\0\1")  # '0'/'1' digits to falsy/truthy bytes
 
 
 @dataclass(frozen=True)
@@ -312,62 +313,62 @@ def coproduct_ballean(bs: Sequence[ExplicitBallean]) -> ExplicitBallean:
     return ExplicitBallean(tuple(support), tuple(radii), table)
 
 
+def subset_bitsets(n: int) -> list[int]:
+    """subsets[m] for every mask m over n positions: bit s set iff s <= m."""
+    subsets = [1] * (1 << n)
+    for m in range(1, 1 << n):
+        low = m & -m
+        subsets[m] = subsets[m ^ low] | subsets[m ^ low] << low
+    return subsets
+
+
 def exp_hyperballean_of(b: ExplicitBallean) -> ExplicitBallean:
     """The hyperballean on all nonempty subsets: Z is within radius a of Y
     iff Z is inside B(Y,a) and Y is inside B(Z,a).
 
-    Subsets are int masks over the support positions. For each radius,
-    blown[m] is the mask of B(m, a) by the lowest-bit recurrence, and
-    inv[i] is the mask of the points whose ball holds point i. Then
-    Y <= B(Z, a) iff Z meets inv[i] for every i in Y, so the ball of Y
-    depends on Y only through the key (blown[Y], {inv[i] : i in Y}): it is
-    built once per distinct key and shared by every Y with that key. Ball
-    entries outside the support cannot lie in any subset and are ignored.
+    Subsets are int masks over the support positions; a set of subsets is
+    a bitset over the masks, subsets[m] that of the Z <= m. For each radius,
+    blown[m] is the mask of B(m, a), inv[i] that of the points whose ball
+    holds i, and meets[i] the bitset of the Z that meet inv[i]. As Y <=
+    B(Z, a) iff Z meets inv[i] for every i in Y, covers[Y] = covers[Y - low]
+    & meets[i] (i the lowest bit of Y) and the ball of Y is subsets[blown[Y]]
+    & covers[Y]. Each distinct ball bitset becomes one frozenset, shared by
+    every (Y, a) with that ball. Ball entries outside the support are ignored.
     """
     n = len(b.support)
     if n > EXP_SUPPORT_LIMIT:
         raise ValueError(f"support has {n} points; exp enumeration allows "
                          f"at most {EXP_SUPPORT_LIMIT}")
     index = {x: i for i, x in enumerate(b.support)}
-    masks = [sum(1 << i for i in c)
-             for size in range(1, n + 1)
+    masks = [sum(1 << i for i in c) for size in range(1, n + 1)
              for c in itertools.combinations(range(n), size)]
-    subset_of = [frozenset()] * (1 << n)
-    for m in masks:
-        subset_of[m] = frozenset(b.support[i] for i in range(n) if m >> i & 1)
-    table = {}
+    subset_of = [frozenset(x for i, x in enumerate(b.support) if m >> i & 1)
+                 for m in range(1 << n)]
+    full = (1 << n) - 1
+    subsets = subset_bitsets(n)
+    by_bit = subset_of[::-1]  # the subsets in the order format() prints bits
+    table, shared = {}, {}  # shared: ball bitset -> its one frozenset
     for a in b.radii:
-        ball = [0] * n
-        inv = [0] * n
+        ball, inv = [0] * n, [0] * n
         for j, x in enumerate(b.support):
             for y in b.ball(x, a):
-                i = index.get(y)
-                if i is not None:
-                    ball[j] |= 1 << i
-                    inv[i] |= 1 << j
-        # inv_ids[m]: the set {inv[i] : i in m} as a mask over distinct values
-        inv_id = {}
-        inv_bit = [1 << inv_id.setdefault(v, len(inv_id)) for v in inv]
-        blown = [0] * (1 << n)
-        inv_ids = [0] * (1 << n)
-        for m in range(1, 1 << n):
+                if y in index:
+                    ball[j] |= 1 << index[y]
+                    inv[index[y]] |= 1 << j
+        meets = [subsets[full] & ~subsets[full & ~v] for v in inv]
+        blown = [0] * (full + 1)
+        covers = [subsets[full]] * (full + 1)
+        for m in range(1, full + 1):
             low = m & -m
             i = low.bit_length() - 1
             blown[m] = blown[m ^ low] | ball[i]
-            inv_ids[m] = inv_ids[m ^ low] | inv_bit[i]
-        shared: dict = {}
+            covers[m] = covers[m ^ low] & meets[i]
         for y in masks:
-            key = (blown[y], inv_ids[y])
-            ball_y = shared.get(key)
+            bits = subsets[blown[y]] & covers[y]
+            ball_y = shared.get(bits)
             if ball_y is None:
-                allowed = blown[y]
-                members = []
-                z = allowed
-                while z:
-                    if blown[z] & y == y:
-                        members.append(subset_of[z])
-                    z = (z - 1) & allowed
-                ball_y = shared[key] = frozenset(members)
+                flags = format(bits, f"0{full + 1}b").encode().translate(ZERO_ONE)
+                ball_y = shared[bits] = frozenset(itertools.compress(by_bit, flags))
             table[(subset_of[y], a)] = ball_y
     return ExplicitBallean(tuple(subset_of[m] for m in masks), b.radii, table)
 

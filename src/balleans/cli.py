@@ -208,10 +208,14 @@ def _distance_json(mu: ExtNat, base: float) -> dict:
     return {"mu": mu.to_json(), "log": log, "base": base}
 
 
-def _require(args, *names: str) -> None:
-    if any(getattr(args, name) is None for name in names):
-        flags = ", ".join(f"--{name}" for name in names)
+def _require(args, **lows: int) -> None:
+    """Each named option is given and at least its low bound."""
+    if any(getattr(args, name) is None for name in lows):
+        flags = ", ".join(f"--{name}" for name in lows)
         raise UsageError(f"{args.family} needs {flags}")
+    for name, low in lows.items():
+        if getattr(args, name) < low:
+            raise UsageError(f"--{name} must be >= {low}, got {getattr(args, name)}")
 
 
 def _require_prime(p: Optional[int]) -> None:
@@ -249,14 +253,14 @@ def _cmd_ball(args) -> dict:
     from .witnesses import lz_exp_ball, lz_log_ball, prufer_ball
 
     if args.family == "LZ-exp":
-        _require(args, "n", "m")
+        _require(args, n=1, m=0)
         return {"family": "LZ-exp", "n": args.n, "m": args.m,
                 "members": [f"{k}Z" for k in sorted(lz_exp_ball(args.n, args.m))]}
     if args.family == "LZ-log":
-        _require(args, "n", "K")
+        _require(args, n=1, K=1)
         return {"family": "LZ-log", "n": args.n, "K": args.K,
                 "members": [f"{m}Z" for m in sorted(lz_log_ball(args.n, args.K))]}
-    _require(args, "p", "n", "K")
+    _require(args, p=2, n=0, K=1)
     _require_prime(args.p)
     levels = sorted(prufer_ball(args.p, args.n, args.K))
     return {"family": "prufer", "p": args.p, "level": args.n, "K": args.K,
@@ -265,7 +269,7 @@ def _cmd_ball(args) -> dict:
 
 def _cmd_component(args) -> dict:
     if args.family == "Z^n":
-        _require(args, "n")
+        _require(args, n=1)
         census = component_census("Z^n", n=args.n)
     elif args.family == "prufer":
         _require_prime(args.p)
@@ -319,6 +323,8 @@ def _cmd_mu(args) -> dict:
 
 def _cmd_verify(args) -> list:
     options = {} if args.max_coord is None else {"max_coord": args.max_coord}
+    if options and args.max_coord < 1:
+        raise UsageError(f"--max-coord must be >= 1, got {args.max_coord}")
     if args.suite == "all":
         if options:
             raise UsageError("--max-coord needs a single suite that takes it")

@@ -20,6 +20,7 @@ from .ballean import (
     hamming_distance,
     is_cellular,
     mu_set_distance,
+    subset_bitsets,
     validate_ballean,
 )
 from .groups import FiniteAbelianGroup, _is_prime, all_subgroups, fag_log_distance
@@ -94,6 +95,13 @@ def random_ballean(rng: random.Random, max_size: int = 6) -> ExplicitBallean:
 # suites
 
 
+def _taxi_grid(n: int, max_coord: int) -> list[TaxiPoint]:
+    """{0..max_coord}^n; max_coord < 1 is refused, as one point has no pairs."""
+    if max_coord < 1:
+        raise ValueError(f"max_coord must be >= 1, got {max_coord}")
+    return [TaxiPoint(c) for c in itertools.product(range(max_coord + 1), repeat=n)]
+
+
 def suite_iota(primes: Sequence[int] = (2, 3), max_coord: int = 6,
                samples: int = 300, seed: int = 0) -> VerificationReport:
     """Closed-form distances equal lattice-computed distances on the image
@@ -102,8 +110,7 @@ def suite_iota(primes: Sequence[int] = (2, 3), max_coord: int = 6,
     rng = random.Random(seed)
     n = pt.n
     violations = []
-    grid = [TaxiPoint(c) for c in
-            itertools.product(range(max_coord + 1), repeat=n)]
+    grid = _taxi_grid(n, max_coord)
     pairs = (list(itertools.combinations(grid, 2))
              if len(grid) ** 2 <= 2 * samples
              else [(rng.choice(grid), rng.choice(grid)) for _ in range(samples)])
@@ -119,8 +126,7 @@ def suite_iota(primes: Sequence[int] = (2, 3), max_coord: int = 6,
 
 
 def suite_hamming(n: int = 2, max_coord: int = 6) -> VerificationReport:
-    grid = [TaxiPoint(c) for c in
-            itertools.product(range(max_coord + 1), repeat=n)]
+    grid = _taxi_grid(n, max_coord)
     violations = []
     count = 0
     for m, mp in itertools.combinations_with_replacement(grid, 2):
@@ -260,10 +266,7 @@ def exp_power_inclusion_holds(b: ExplicitBallean, max_n: int = 4) -> bool:
     full = (1 << size) - 1
     index = {x: i for i, x in enumerate(b.support)}
     mask_of = {z: sum(1 << index[x] for x in z) for z in expb.support}
-    subsets = [1] * (full + 1)  # bit s of subsets[m]: s within m
-    for m in range(1, full + 1):
-        low = m & -m
-        subsets[m] = subsets[m ^ low] | subsets[m ^ low] << low
+    subsets = subset_bitsets(size)  # bit s of subsets[m]: s within m
     for a in b.radii:
         ball = [0] * size
         for i, x in enumerate(b.support):

@@ -215,6 +215,48 @@ class TestExpHyperballean:
         for _ in range(12):
             self._assert_matches_reference(random_ballean(rng, max_size=8))
 
+    @staticmethod
+    def _cover_shaped(rng, size):
+        # radii r1 <= r2, r2 o r2 and the closure of r2, as in the finite-cover
+        # benchmark: r2 holds a path through every point, so the closure is
+        # the whole support
+        def relation(base, edges, path=False):
+            rel = {x: {x} | base[x] for x in range(size)}
+            pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(edges)]
+            order = rng.sample(range(size), size) if path else []
+            for a, c in pairs + list(zip(order, order[1:])):
+                rel[a].add(c)
+                rel[c].add(a)
+            return rel
+
+        r1 = relation({x: set() for x in range(size)}, rng.randint(0, size))
+        r2 = relation(r1, rng.randint(0, size), path=True)
+        r22 = {x: set().union(*(r2[y] for y in r2[x])) for x in range(size)}
+        radii = {"r1": r1, "r2": r2, "r22": r22,
+                 "closure": {x: set(range(size)) for x in range(size)}}
+        table = {(x, a): frozenset(rel[x]) for a, rel in radii.items()
+                 for x in range(size)}
+        return ExplicitBallean(tuple(range(size)), tuple(radii), table)
+
+    def test_matches_reference_on_cover_shaped_balleans(self):
+        rng = random.Random(9)
+        for size in (7, 8, 9):
+            b = self._cover_shaped(rng, size)
+            assert validate_ballean(b).ok
+            self._assert_matches_reference(b)
+
+    def test_matches_reference_on_empty_and_one_point_supports(self):
+        self._assert_matches_reference(ExplicitBallean((), ("r",), {}))
+        self._assert_matches_reference(ExplicitBallean(
+            ("x",), ("r", "s"), {("x", "r"): frozenset({"x"}),
+                                 ("x", "s"): frozenset()}))
+
+    def test_equal_balls_share_one_frozenset(self):
+        rng = random.Random(10)
+        for b in [self._cover_shaped(rng, 8), random_ballean(rng, max_size=6)]:
+            e = exp_hyperballean_of(b)
+            assert len({id(v) for v in e.balls.values()}) == len(set(e.balls.values()))
+
     def test_exp_of_cellular_is_cellular(self):
         rng = random.Random(3)
         for _ in range(10):

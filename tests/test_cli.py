@@ -215,6 +215,30 @@ class TestExitCodes:
         assert run(["verify", "--suite", "tree", "--max-coord", "3"]) == 2
         assert run(["verify", "--suite", "all", "--max-coord", "3"]) == 2
 
+    @pytest.mark.parametrize("suite, value", [("iota", "0"), ("hamming", "-3")])
+    def test_usage_error_max_coord_below_one(self, capsys, suite, value):
+        assert run(["verify", "--suite", suite, "--max-coord", value]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--max-coord must be >= 1" in err
+
+    def test_usage_error_lz_log_n_below_one(self, capsys):
+        assert run(["ball", "--family", "LZ-log", "--n", "0", "--K", "2"]) == 2
+        assert "usage error: --n must be >= 1" in capsys.readouterr().err
+
+    def test_usage_error_prufer_negative_level(self, capsys):
+        assert run(["ball", "--family", "prufer", "--p", "2", "--n", "-1",
+                    "--K", "2"]) == 2
+        assert "usage error: --n must be >= 0" in capsys.readouterr().err
+
+    def test_usage_error_component_n_below_one(self, capsys):
+        assert run(["component", "--family", "Z^n", "--n", "0"]) == 2
+        assert "usage error: --n must be >= 1" in capsys.readouterr().err
+
+    def test_lz_exp_radius_zero_stays_valid(self, capsys):
+        code, out = run_json(capsys, ["ball", "--family", "LZ-exp", "--n", "3",
+                                      "--m", "0"])
+        assert code == 0 and out["members"] == ["3Z"]
+
     def test_domain_error_missing_file(self, capsys):
         assert run(["profile", "--descriptor", "/nonexistent.json"]) == 1
 

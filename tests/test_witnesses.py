@@ -354,6 +354,17 @@ class TestSuites:
         b = suite_cellular(count=5, seed=3)
         assert a == b
 
+    @pytest.mark.parametrize("suite", [suites.suite_iota, suites.suite_hamming])
+    @pytest.mark.parametrize("max_coord", [0, -3])
+    def test_max_coord_below_one_refused(self, suite, max_coord):
+        # a one-point grid has no pairs: the suite would pass with 0 samples
+        with pytest.raises(ValueError, match="max_coord must be >= 1"):
+            suite(max_coord=max_coord)
+
+    def test_max_coord_one_has_samples(self):
+        assert suites.suite_iota(max_coord=1).samples > 0
+        assert suites.suite_hamming(max_coord=1).samples > 0
+
     def test_suite_registry(self):
         assert set(SUITES) == {"iota", "hamming", "elemab", "tree", "lzball",
                                "mu-index", "cellular", "axioms"}
