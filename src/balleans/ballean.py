@@ -422,6 +422,9 @@ class FiniteSubset:
     def __post_init__(self) -> None:
         if not self.elements:
             raise ValueError("exp excludes the empty set")
+        for e in self.elements:
+            if self.parent.normalize(e) != e:
+                raise ValueError(f"{e!r} is not in normal form in {self.parent}")
 
     @classmethod
     def of(cls, parent: Parent, elements: Iterable) -> "FiniteSubset":
@@ -504,7 +507,11 @@ def _min_cover_size(universe: int, sets: Iterable[int]) -> Optional[int]:
     Duplicate masks and masks inside another mask are dropped first: some
     minimum cover uses none of them. Then branch and bound on the rarest
     uncovered element, with a greedy initial upper bound and the bound
-    |missing| / (largest progress of one set)."""
+    |missing| / (largest progress of one set). A node where every mask
+    meets missing in at most 2 bits, the root before its greedy bound
+    included, is finished as an edge cover (Gallai 1959): |missing| − ν
+    more sets, ν the size of a maximum matching in the graph with one edge
+    per 2-bit restriction (Edmonds 1965)."""
     if not universe:
         return 0
     kept: list[int] = []
@@ -517,6 +524,14 @@ def _min_cover_size(universe: int, sets: Iterable[int]) -> Optional[int]:
         union |= s
     if union != universe:
         return None
+
+    def edge_cover(missing: int) -> int:  # vertices are bit positions
+        edges = [((p & -p).bit_length() - 1, p.bit_length() - 1)
+                 for p in (s & missing for s in kept) if p.bit_count() == 2]
+        return missing.bit_count() - _max_matching(missing.bit_length(), edges)
+
+    if kept[0].bit_count() <= 2:
+        return edge_cover(universe)
 
     # greedy upper bound
     remaining = universe
@@ -547,12 +562,74 @@ def _min_cover_size(universe: int, sets: Iterable[int]) -> Optional[int]:
         biggest = max((s & missing).bit_count() for s in kept)
         if used + -(-missing.bit_count() // biggest) >= best_known:
             return
+        if biggest <= 2:
+            best_known = min(best_known, used + edge_cover(missing))
+            return
         pivot = next(e for e in rarest_first if e & missing)
         for s in holders[pivot]:
             search(covered | s, used + 1)
 
     search(0, 0)
     return best_known
+
+
+def _max_matching(n: int, edges: Iterable[tuple[int, int]]) -> int:
+    """Size of a maximum matching in the graph on vertices 0..n-1: a greedy
+    matching, then Edmonds' blossom algorithm (1965), O(V^3). Each free vertex
+    roots one breadth-first search for an augmenting path (a root without one
+    never gains one later); an edge between two outer vertices closes an odd
+    cycle, a blossom, contracted to its base: all its vertices turn outer."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    match = [-1] * n
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+        if match[u] == match[v] == -1:
+            match[u], match[v] = v, u
+
+    def augment(root: int) -> None:
+        parent, base, outer = [-1] * n, list(range(n)), [False] * n
+        outer[root] = True
+        queue = [root]
+        for v in queue:  # grows while it is walked
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if outer[to]:
+                    a = base[v]  # b is the nearest common base of v and to
+                    seen = {a}
+                    while match[a] != -1:
+                        a = base[parent[match[a]]]
+                        seen.add(a)
+                    b = base[to]
+                    while b not in seen:
+                        b = base[parent[match[b]]]
+                    blossom: set[int] = set()
+                    for x, child in ((v, to), (to, v)):
+                        while base[x] != b:
+                            blossom.update((base[x], base[match[x]]))
+                            parent[x], child = child, match[x]
+                            x = parent[child]
+                    for i in range(n):
+                        if base[i] in blossom:
+                            base[i] = b
+                            if not outer[i]:
+                                outer[i] = True
+                                queue.append(i)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    if match[to] == -1:
+                        while to != -1:  # flip the path from to back to root
+                            v = parent[to]
+                            match[v], match[to], to = to, v, match[v]
+                        return
+                    outer[match[to]] = True
+                    queue.append(match[to])
+
+    for root in range(n):
+        if match[root] == -1 and adj[root]:
+            augment(root)
+    return (n - match.count(-1)) // 2
 
 
 def _translate_cover_masks(parent: Parent, base: frozenset,

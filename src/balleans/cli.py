@@ -314,7 +314,10 @@ def _cmd_mu(args) -> dict:
         s = expr.strip()
         if not (s.startswith("{") and s.endswith("}")):
             raise UsageError(f"expected a set like {{0,3}}: {expr!r}")
-        sets.append(FiniteSubset.of(g, _parse_elements(s[1:-1], g)))
+        elements = _parse_elements(s[1:-1], g)
+        if not elements:
+            raise UsageError(f"mu needs nonempty sets: {expr!r}")
+        sets.append(FiniteSubset.of(g, elements))
     report = mu_report(*sets)
     out = _distance_json(report.mu, base)
     out["single_set"] = report.single_set.to_json()

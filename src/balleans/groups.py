@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -84,7 +85,7 @@ class FiniteAbelianGroup:
             x = (x,)
         if len(x) != self.k:
             raise ValueError("element arity does not match the group")
-        return tuple(int(c) % m for c, m in zip(x, self.invariant_factors))
+        return tuple(map(operator.mod, map(int, x), self.invariant_factors))
 
     def add(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         return tuple((x + y) % m for x, y, m in zip(a, b, self.invariant_factors))

@@ -320,6 +320,77 @@ def min_cover_brute(universe, sets):
     return None
 
 
+def min_cover_search(universe: int, sets):
+    """The package's former `ballean._min_cover_size`: the same branch and
+    bound on int masks (dominance filter, greedy upper bound, rarest
+    element first, cardinality bound) with no edge-cover step, so it
+    enumerates where every set has at most 2 elements."""
+    if not universe:
+        return 0
+    kept = []
+    for s in sorted({s & universe for s in sets} - {0},
+                    key=int.bit_count, reverse=True):
+        if all(s | k != k for k in kept):
+            kept.append(s)
+    union = 0
+    for s in kept:
+        union |= s
+    if union != universe:
+        return None
+    remaining, greedy = universe, 0
+    while remaining:
+        remaining &= ~max(kept, key=lambda s: (s & remaining).bit_count())
+        greedy += 1
+    best_known = greedy
+    holders = {1 << i: [s for s in kept if s >> i & 1]
+               for i in range(universe.bit_length()) if universe >> i & 1}
+    rarest_first = sorted(holders, key=lambda e: len(holders[e]))
+
+    def search(covered: int, used: int) -> None:
+        nonlocal best_known
+        if used >= best_known:
+            return
+        missing = universe & ~covered
+        if not missing:
+            best_known = used
+            return
+        biggest = max((s & missing).bit_count() for s in kept)
+        if used + -(-missing.bit_count() // biggest) >= best_known:
+            return
+        pivot = next(e for e in rarest_first if e & missing)
+        for s in holders[pivot]:
+            search(covered | s, used + 1)
+
+    search(0, 0)
+    return best_known
+
+
+def max_matching_brute(n: int, edges) -> int:
+    """Size of a maximum matching on vertices 0..n-1 by exhaustion: the
+    lowest vertex left is either unmatched or matched to one of its
+    neighbours left, memoized on the set of vertices left."""
+    adj = [0] * n
+    for u, v in edges:
+        if u != v:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    memo = {0: 0}
+
+    def best(left: int) -> int:
+        if left not in memo:
+            low = left & -left
+            out = best(left ^ low)
+            nbrs = adj[low.bit_length() - 1] & left
+            while nbrs:
+                other = nbrs & -nbrs
+                out = max(out, 1 + best(left ^ low ^ other))
+                nbrs ^= other
+            memo[left] = out
+        return memo[left]
+
+    return best((1 << n) - 1)
+
+
 def mu_two_points_elementary(y, z):
     """mu(Y, Z) for Y = {a, b} in (Z/2)^k, elements as 0/1 tuples.
 

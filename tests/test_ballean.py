@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from balleans import ballean
 from balleans.ballean import (
     ExplicitBallean,
+    _max_matching,
     _min_cover_size,
     FiniteSubset,
     HammingPoint,
@@ -35,9 +37,19 @@ from oracles import (
     closure,
     element_count_mu,
     exp_hyperballean_reference,
+    max_matching_brute,
     min_cover_brute,
+    min_cover_search,
     mu_two_points_elementary,
 )
+
+# the mu pair shapes of perfbench's finite-cover workload: (orders, |Y|, |Z|)
+# for random subsets, and the groups of its coset pairs
+MU_RANDOM = [((2,) * 8, 1, 6), ((2,) * 8, 2, 8), ((2,) * 8, 2, 12),
+             ((2,) * 8, 3, 8), ((2,) * 8, 3, 10), ((2,) * 8, 3, 12),
+             ((2,) * 6, 2, 8), ((2,) * 6, 3, 10), ((4,) * 3, 2, 8),
+             ((4,) * 3, 3, 10), ((24,), 2, 8), ((24,), 3, 10), ((60,), 3, 12)]
+MU_COSET = [(2,) * 6, (4,) * 3, (24,), (60,), (2,) * 8]
 
 
 def three_point():
@@ -277,6 +289,17 @@ class TestGroupExpBalls:
         with pytest.raises(ValueError):
             FiniteSubset.of(g, [])
 
+    def test_elements_outside_the_parent_rejected(self):
+        z4 = FiniteAbelianGroup((4,))
+        for parent, bad in ((z4, (5,)), (z4, (-1,)), (z4, (1, 2)), (z4, 1),
+                            (FiniteAbelianGroup((2, 4)), (1,)),
+                            (ZWindow(3), 100), (ZWindow(3), -4)):
+            with pytest.raises(ValueError):
+                FiniteSubset(parent, frozenset({bad}))
+        # FiniteSubset.of still reduces to the normal form
+        assert FiniteSubset.of(z4, [(5,), 2]).elements == {(1,), (2,)}
+        assert FiniteSubset(ZWindow(3), frozenset({-3, 3})).elements == {-3, 3}
+
     def test_enumerate_fixture(self):
         g = FiniteAbelianGroup((12,))
         got = exp_ball_enumerate_centered_identity(g, [1])
@@ -426,6 +449,85 @@ class TestMinCover:
             outcomes.add(want is None)
         assert outcomes == {True, False}
 
+    def test_sets_of_at_most_two_match_brute_force(self):
+        # the edge-cover step: stars, odd cycles with pendant vertices,
+        # disconnected graphs, singletons, infeasible systems, random graphs
+        def cycle(k, first=0):
+            return [{first + i, first + (i + 1) % k} for i in range(k)]
+
+        systems = [(range(6), [{0, i} for i in range(1, 6)]),
+                   (range(8), [{0, i} for i in range(1, 5)] + [{5, 6}, {6, 7}]),
+                   (range(12), cycle(3) + cycle(5, 3) + [{8, 9}, {9, 10}, {11}]),
+                   (range(10), cycle(7) + [{7, 8}, {8, 9}, {9, 7}]),
+                   (range(5), cycle(3) + [{3}]),
+                   (range(6), cycle(5)),
+                   # the greedy start leaves augmenting paths through blossoms
+                   (range(8), [{2, 5}, {4, 5}, {2, 6}, {3, 6}, {1, 4}, {0, 5},
+                               {1, 3}, {1, 7}, {1, 5}, {0, 1}, {0, 7}]),
+                   (range(8), [{5, 6}, {1, 7}, {1, 5}, {4, 7}, {0, 7}, {0, 5},
+                               {2, 3}, {0, 6}])]
+        for k in (3, 5, 7):
+            for ends in ([0], [0, 1], [0, 2], list(range(k))):
+                pendants = [{v, k + j} for j, v in enumerate(ends)]
+                systems.append((range(k + len(ends)), cycle(k) + pendants))
+                systems.append((range(k + len(ends)), pendants + cycle(k)[::-1]))
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(0, 10)
+            sets = [set(rng.sample(range(n + 1), rng.randint(1, min(2, n + 1))))
+                    for _ in range(rng.randint(0, 14))]
+            systems.append((range(n), sets))
+        mask = lambda s: sum(1 << x for x in s)
+        outcomes = set()
+        for universe, sets in systems:
+            want = min_cover_brute(universe, sets)
+            assert _min_cover_size(mask(universe), map(mask, sets)) == want, (
+                list(universe), sets)
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+    def test_max_matching_matches_brute_force(self):
+        rng = random.Random(3)
+        for _ in range(400):
+            n = rng.randint(0, 16)
+            density = rng.random() * 0.5
+            edges = [(u, v) if rng.random() < 0.5 else (v, u)
+                     for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < density]
+            rng.shuffle(edges)
+            assert _max_matching(n, edges) == max_matching_brute(n, edges), (n, edges)
+
+    def test_mu_matches_search_without_edge_cover(self, monkeypatch):
+        # finite-cover-shaped pairs: MuReports equal those of the former
+        # search, and the edge-cover step ran on some of them
+        rng = random.Random(10)
+        pairs = []
+        for orders, ny, nz in MU_RANDOM:
+            elems = list(FiniteAbelianGroup(orders).elements())
+            pairs += [(orders, rng.sample(elems, ny), rng.sample(elems, nz))
+                      for _ in range(8)]
+        for orders in MU_COSET:
+            g = FiniteAbelianGroup(orders)
+            elems = list(g.elements())
+            cosets = 0
+            while cosets < 4:
+                h, k = (closure(g, rng.sample(elems, rng.randint(1, 2))) for _ in "hk")
+                if len(h) <= 8 and len(k) <= 8:
+                    shift = rng.choice(elems)
+                    pairs.append((orders, [g.add(shift, x) for x in h],
+                                  [g.add(shift, x) for x in k]))
+                    cosets += 1
+        subsets = [(FiniteSubset.of(FiniteAbelianGroup(o), y),
+                    FiniteSubset.of(FiniteAbelianGroup(o), z)) for o, y, z in pairs]
+        matchings = []
+        real = ballean._max_matching
+        monkeypatch.setattr(ballean, "_max_matching",
+                            lambda n, edges: matchings.append(n) or real(n, edges))
+        got = [mu_report(y, z) for y, z in subsets]
+        assert matchings
+        monkeypatch.setattr(ballean, "_min_cover_size", min_cover_search)
+        assert got == [mu_report(y, z) for y, z in subsets]
+
 
 class TestMuCliffs:
     def test_two_points_in_elementary_abelian(self):
@@ -441,19 +543,30 @@ class TestMuCliffs:
                 assert rep.mu == ExtNat.finite(mu_two_points_elementary(y, z))
                 assert rep.single_set >= rep.mu
 
-    def test_large_coset_pair_gives_the_index(self):
-        # |H| = 16, |K| = 4 in (Z/4)^3, shifted by the same element
+    def test_large_coset_pair_gives_the_index(self, monkeypatch):
+        # |H| = 16, |K| = 4 in (Z/4)^3, shifted by the same element; past
+        # the two fixed pairs, a sweep with H ∩ K = 0, where each pair once
+        # took 0.3-0.5 s (as the former search still does on the last one)
         g = FiniteAbelianGroup((4, 4, 4))
-        shift = (3, 2, 1)
-        for h_gens, k_gens in ((((3, 3, 3), (1, 0, 3)), ((3, 3, 0),)),
-                               (((0, 3, 1), (1, 3, 0)), ((1, 1, 2),))):
-            h, k = closure(g, h_gens), closure(g, k_gens)
+        elems = list(g.elements())
+        rng = random.Random(8)
+        cases = [((3, 2, 1), closure(g, h_gens), closure(g, k_gens))
+                 for h_gens, k_gens in ((((3, 3, 3), (1, 0, 3)), ((3, 3, 0),)),
+                                        (((0, 3, 1), (1, 3, 0)), ((1, 1, 2),)))]
+        while len(cases) < 300:
+            h = closure(g, rng.sample(elems, 2))
+            k = closure(g, rng.sample(elems, rng.randint(1, 2)))
+            if len(h) == 16 and len(k) == 4 and len(h & k) == 1:
+                cases.append((rng.choice(elems), h, k))
+        for shift, h, k in cases:
             assert (len(h), len(k)) == (16, 4)
             y = FiniteSubset(g, frozenset(g.add(shift, x) for x in h))
             z = FiniteSubset(g, frozenset(g.add(shift, x) for x in k))
             rep = mu_report(y, z)
             assert rep.mu == ExtNat.finite(element_count_mu(g, h, k))
             assert rep.single_set >= rep.mu
+        monkeypatch.setattr(ballean, "_min_cover_size", min_cover_search)
+        assert mu_report(y, z) == rep
 
 
 class TestHamming:

@@ -193,6 +193,14 @@ class TestExitCodes:
         assert run(["exp-ball", "--group", "Z(12)", "--radius", "(1,2)"]) == 2
         assert "needs 1 coordinates, got 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("empty", ["{}", "{ }", "{,}"])
+    def test_usage_error_empty_mu_set(self, capsys, empty):
+        for sets in ((empty, "{0}"), ("{0}", empty)):
+            code = run(["mu", "--group", "Z(6)", "--set", sets[0], "--set", sets[1]])
+            out, err = capsys.readouterr()
+            assert code == 2 and out == ""
+            assert "usage error: mu needs nonempty sets" in err
+
     def test_usage_error_negative_level(self, capsys):
         assert run(["dist", "--group", "prufer@2", "--sub", "H_-1@2",
                     "--sub", "H_1@2"]) == 2
