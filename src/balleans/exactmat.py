@@ -1,14 +1,14 @@
-"""Exact integer matrix kernel: one echelon routine and what follows from it.
+"""Exact integer matrix kernel: one row HNF and what follows from it.
 
 Everything here works on rectangular sequences of Python ints, so all results
 are exact at arbitrary size. No floating point is used anywhere in this module;
 index products like p1^m1 * ... * pn^mn overflow machine words quickly, which
 is why arbitrary precision is mandatory.
 
-`_echelon` is the only elimination: the row HNF, the left kernel (from the
-transform block of [m | I]), integer solving (one kernel of [target; m]) and
-the Smith form (the HNF of rows and of columns in turn) all come from it.
-`abs_det` keeps its own Bareiss elimination as an independent route.
+`_hnf` is the only elimination. The left kernel is read off the HNF of
+[m | I] past m's columns (`skip`), as `lattices` reads off A ∩ B; integer
+solving (one kernel of [target; m]) and the Smith form (the HNF of rows and
+of columns in turn) follow. `abs_det` (Bareiss) is an independent route.
 """
 
 from __future__ import annotations
@@ -50,17 +50,19 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _echelon(h: list[list[int]], ncols: int) -> list[tuple[int, int]]:
-    """Row-echelon form of h in place, by unimodular row operations.
+def _hnf(h: list[list[int]], skip: int = 0) -> list[list[int]]:
+    """`row_hnf` of rows already checked by `_as_rows`; h is overwritten.
 
-    Pivots, made positive, are sought in the first ncols columns only, but
-    whole rows are combined, so echelonizing [m | I] leaves the transform in
-    the right-hand block. Returns the pivot positions (row, col).
+    Only the HNF rows zero on the first `skip` columns are reduced and
+    returned: the HNF of the part of the row span that vanishes there.
     """
     n = len(h)
-    pivots: list[tuple[int, int]] = []
-    for col in range(ncols):
-        rank = len(pivots)
+    cols: list[int] = []  # the pivot column of each echelon row
+    split = n  # the first echelon row with its pivot at or past skip
+    for col in range(len(h[0]) if h else 0):
+        rank = len(cols)
+        if col == skip:
+            split = rank
         piv = next((i for i in range(rank, n) if h[i][col]), None)
         if piv is None:
             continue
@@ -81,20 +83,15 @@ def _echelon(h: list[list[int]], ncols: int) -> list[tuple[int, int]]:
             rp, h[i] = ([x * u + y * v for u, v in zip(rp, ri)],
                         [ag * v - bg * u for u, v in zip(rp, ri)])
         h[rank] = rp if rp[col] > 0 else [-u for u in rp]
-        pivots.append((rank, col))
-    return pivots
-
-
-def _hnf(h: list[list[int]]) -> list[list[int]]:
-    """`row_hnf` of rows already checked by `_as_rows`; h is overwritten."""
-    pivots = _echelon(h, len(h[0]) if h else 0)
-    for r, c in pivots:  # reduce the entries above each pivot
+        cols.append(col)
+    for r in range(split, len(cols)):  # reduce the entries above each pivot
         row = h[r]
-        for i in range(r):
+        c = cols[r]
+        for i in range(split, r):
             q = h[i][c] // row[c]
             if q:
                 h[i] = [t - q * u for t, u in zip(h[i], row)]
-    return h[: len(pivots)]
+    return h[split:len(cols)]
 
 
 def row_hnf(m: Matrix) -> list[list[int]]:
@@ -111,14 +108,13 @@ def row_hnf(m: Matrix) -> list[list[int]]:
 def left_kernel(m: Matrix) -> list[list[int]]:
     """Canonical basis of the integer left kernel {u : u * m = 0}.
 
-    Echelonizing [m | I] leaves a unimodular transform on the right; its rows
-    paired with zero echelon rows span the full integer kernel.
+    [m | I] spans {(u * m, u)}, so its HNF rows past m's columns, cut there,
+    are the canonical basis of {u : u * m = 0}.
     """
     rows = _as_rows(m)
     ncols = len(rows[0]) if rows else 0
     aug = [r + [int(i == j) for j in range(len(rows))] for i, r in enumerate(rows)]
-    rank = len(_echelon(aug, ncols))
-    return _hnf([r[ncols:] for r in aug[rank:]])
+    return [r[ncols:] for r in _hnf(aug, ncols)]
 
 
 def divisibility_chain(ds: Sequence[int]) -> list[int]:

@@ -271,8 +271,8 @@ class CardinalToken:
     def __post_init__(self) -> None:
         if self.kind not in ("finite", "omega", "power"):
             raise ValueError("bad cardinal kind")
-        if self.kind == "finite" and self.n < 0:
-            raise ValueError("finite cardinal must be >= 0")
+        if self.kind == "finite" and (type(self.n) is not int or self.n < 0):
+            raise ValueError(f"finite cardinal must be an integer >= 0: {self.n!r}")
         if self.kind == "power" and self.base is None:
             raise ValueError("power cardinal needs a base")
 
@@ -341,8 +341,9 @@ class ReducedTorsionPart:
     def __post_init__(self) -> None:
         if self.kind not in ("finite", "layerly_finite", "not_layerly_finite"):
             raise ValueError("bad reduced torsion kind")
-        if self.kind == "finite" and (self.order is None or self.order < 1):
-            raise ValueError("finite reduced part needs an order >= 1")
+        if self.kind == "finite" and (type(self.order) is not int or self.order < 1):
+            raise ValueError(
+                f"finite reduced part needs an integer order >= 1: {self.order!r}")
 
     def to_json(self) -> dict:
         if self.kind == "finite":
@@ -351,7 +352,8 @@ class ReducedTorsionPart:
 
     @classmethod
     def from_json(cls, data: dict) -> "ReducedTorsionPart":
-        return cls(data["kind"], data.get("order"))
+        data = _json_object(data, "reduced torsion part")
+        return cls(data.get("kind"), data.get("order"))
 
 
 @dataclass(frozen=True)
@@ -405,19 +407,27 @@ class GroupDescriptor:
 
     @classmethod
     def from_json(cls, data: dict) -> "GroupDescriptor":
-        div = data.get("divisible", {})
-        prufer = tuple(sorted(
-            (int(p), CardinalToken.from_json(m))
-            for p, m in div.get("prufer", {}).items()))
-        reduced = tuple(sorted(
-            (int(p), ReducedTorsionPart.from_json(part))
-            for p, part in data.get("reduced_torsion", {}).items()))
+        data = _json_object(data, "group descriptor")
+        div = _json_object(data.get("divisible", {}), "divisible")
+
+        def by_prime(obj, what: str, parse) -> tuple:
+            # sorted by prime alone, so __post_init__ refuses a repeated prime
+            pairs = ((int(p), parse(v)) for p, v in _json_object(obj, what).items())
+            return tuple(sorted(pairs, key=operator.itemgetter(0)))
+
         return cls(
             free_rank=CardinalToken.from_json(data.get("free_rank", 0)),
             q_rank=CardinalToken.from_json(div.get("q_rank", 0)),
-            prufer=prufer,
-            reduced_torsion=reduced,
+            prufer=by_prime(div.get("prufer", {}), "prufer", CardinalToken.from_json),
+            reduced_torsion=by_prime(data.get("reduced_torsion", {}), "reduced_torsion",
+                                     ReducedTorsionPart.from_json),
         )
+
+
+def _json_object(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    return data
 
 
 # convenience builders ------------------------------------------------------

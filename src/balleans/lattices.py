@@ -64,7 +64,9 @@ class ExtNat:
     def from_json(cls, data: Union[int, str]) -> "ExtNat":
         if data == "inf":
             return cls(None)
-        return cls(int(data))
+        if type(data) is not int:
+            raise ValueError(f"ExtNat value must be an integer or 'inf': {data!r}")
+        return cls(data)
 
 
 INFINITE = ExtNat.infinity()
@@ -97,6 +99,8 @@ class Lattice:
 
 def lattice_from_generators(ambient: int, gens: Sequence[Sequence[int]]) -> Lattice:
     """Canonical lattice whose point set is the integer row span of gens."""
+    if type(ambient) is not int:
+        raise ValueError(f"ambient dimension must be an integer: {ambient!r}")
     if ambient < 0:
         raise ValueError("ambient dimension must be >= 0")
     rows = [list(r) for r in gens]
@@ -145,27 +149,16 @@ def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
 
 
 def lattice_intersection(a: Lattice, b: Lattice) -> Lattice:
-    """A ∩ B via the integer left kernel of the stacked bases.
+    """A ∩ B: one HNF of the rows [x | x] (x in A) and [y | 0] (y in B).
 
-    Every x in A ∩ B is cA·basis(A) = cB·basis(B), i.e. (cA, -cB) lies in the
-    left kernel of the stacked matrix; projecting kernel basis vectors through
-    basis(A) therefore spans the intersection exactly.
+    Their row span is {(x + y, x) : x in A, y in B}, and its part that is
+    zero on the first n columns is {(0, x) : x in A ∩ B} (Zassenhaus). So the
+    HNF rows past column n, cut there, are the canonical basis of A ∩ B.
     """
     _check_same_ambient(a, b)
-    if a.rank == 0 or b.rank == 0:
-        return trivial_lattice(a.ambient)
-    stacked = [list(r) for r in a.basis] + [list(r) for r in b.basis]
-    kernel = exactmat.left_kernel(stacked)
-    ra = a.rank
-    points = []
-    for u in kernel:
-        x = [0] * a.ambient
-        for c, row in zip(u[:ra], a.basis):
-            if c:
-                for j in range(a.ambient):
-                    x[j] += c * row[j]
-        points.append(x)
-    return lattice_from_generators(a.ambient, points)
+    n = a.ambient
+    rows = [list(x + x) for x in a.basis] + [list(y) + [0] * n for y in b.basis]
+    return Lattice(n, tuple(tuple(r[n:]) for r in exactmat._hnf(rows, n)))
 
 
 def index_in(a: Lattice, b: Lattice) -> ExtNat:
@@ -187,11 +180,10 @@ def index_in(a: Lattice, b: Lattice) -> ExtNat:
 def saturation(h: Lattice) -> Lattice:
     """The pure closure sat(H) = {x in Z^n : m*x in H for some m != 0}.
 
-    Computed as the integer vectors orthogonal to everything orthogonal to H;
-    integer kernels are automatically pure, so no division step is needed.
+    Computed as the integer vectors orthogonal to everything orthogonal to H:
+    two left kernels, each read off one HNF. Integer kernels are
+    automatically pure, so no division step is needed.
     """
-    if h.rank == 0:
-        return h
     n = h.ambient
     if h.rank == n:
         return full_lattice(n)

@@ -247,6 +247,26 @@ class TestExitCodes:
                                       "--m", "0"])
         assert code == 0 and out["members"] == ["3Z"]
 
+    @pytest.mark.parametrize("desc", [
+        [1, 2],
+        {"divisible": 3},
+        {"reduced_torsion": {"2": 5}},
+        {"reduced_torsion": {"2": {"kind": "finite", "order": "8"}}},
+        {"free_rank": True},
+        {"divisible": {"prufer": {"2": True}}},
+        # one prime written twice
+        {"divisible": {"prufer": {"2": 1, "02": 2}}},
+        {"reduced_torsion": {"3": {"kind": "layerly_finite"},
+                             "03": {"kind": "not_layerly_finite"}}},
+    ])
+    def test_domain_error_malformed_descriptor(self, capsys, tmp_path, desc):
+        path = tmp_path / "desc.json"
+        path.write_text(json.dumps(desc))
+        assert run(["profile", "--descriptor", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_domain_error_missing_file(self, capsys):
         assert run(["profile", "--descriptor", "/nonexistent.json"]) == 1
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from balleans import exactmat
+from balleans.lattices import lattice_from_generators, saturation
 from oracles import frac_det, frac_rank, in_integer_span, smith_invariants
 
 
@@ -118,6 +119,11 @@ class TestLeftKernel:
                     for j in range(len(m[0]))]
             assert not any(prod)
         assert len(k) == len(m) - frac_rank(m)
+        # canonical, and saturated: with the rank and the annihilation above,
+        # k spans the whole integer kernel
+        assert exactmat.row_hnf(k) == k
+        lat = lattice_from_generators(len(m), k)
+        assert saturation(lat) == lat
 
     def test_kernel_is_saturated(self):
         # a scaled kernel vector with unit content must itself be in the kernel

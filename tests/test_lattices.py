@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from balleans.exactmat import row_hnf
 from balleans.lattices import (
     ExtNat,
     INFINITE,
@@ -15,6 +16,7 @@ from balleans.lattices import (
     lattice_sum,
     log_subgroup_distance,
     member,
+    pivot_product,
     saturation,
     trivial_lattice,
 )
@@ -46,6 +48,11 @@ class TestExtNat:
         with pytest.raises(ValueError):
             ExtNat.finite(0)
 
+    @pytest.mark.parametrize("data", [2.7, 2.0, True, False, "2", None, [2]])
+    def test_json_rejects_non_integers(self, data):
+        with pytest.raises(ValueError):
+            ExtNat.from_json(data)
+
 
 class TestConstruction:
     def test_canonical_equality(self):
@@ -66,6 +73,13 @@ class TestConstruction:
     def test_json_round_trip(self):
         lat = lattice_from_generators(2, [[2, 4]])
         assert Lattice.from_json(json.loads(json.dumps(lat.to_json()))) == lat
+
+    @pytest.mark.parametrize("ambient", [2.0, "2", True, None])
+    def test_rejects_non_integer_ambient(self, ambient):
+        with pytest.raises(ValueError):
+            Lattice.from_json({"ambient": ambient, "basis": [[2, 4]]})
+        with pytest.raises(ValueError):
+            lattice_from_generators(ambient, [[3]])
 
 
 class TestMembershipSumIntersection:
@@ -104,6 +118,30 @@ class TestMembershipSumIntersection:
                 for y in range(-4, 5):
                     if member([x, y], a) and member([x, y], b):
                         assert member([x, y], cap)
+
+    def test_intersection_canonical_with_the_right_rank_and_index(self):
+        # rank(A∩B) = rank A + rank B - rank(A+B); at full rank
+        # |Z^n : A∩B| = |Z^n : A| |Z^n : B| / |Z^n : A+B|, so a canonical
+        # sublattice of both with that index is A∩B itself
+        rng = random.Random(12)
+        full = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            a, b = (lattice_from_generators(
+                n, [[rng.randint(-6, 6) for _ in range(n)]
+                    for _ in range(rng.randint(0, n + 1))]) for _ in range(2))
+            if rng.random() < 0.3:  # share rows, so A and B overlap more
+                b = lattice_from_generators(n, list(a.basis[:1]) + list(b.basis))
+            cap, s = lattice_intersection(a, b), lattice_sum(a, b)
+            assert all(member(list(row), a) and member(list(row), b)
+                       for row in cap.basis)
+            assert row_hnf(cap.basis) == [list(r) for r in cap.basis]
+            assert cap.rank == a.rank + b.rank - s.rank
+            if a.rank == b.rank == n:
+                full += 1
+                assert pivot_product(cap) == \
+                    pivot_product(a) * pivot_product(b) // pivot_product(s)
+        assert full >= 30
 
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError):
