@@ -222,12 +222,17 @@ def ball_iterate(b: ExplicitBallean, x: Point, a: Radius, n: int) -> frozenset:
 
 
 def _ball_closure(b: ExplicitBallean, x: Point, a: Radius) -> frozenset:
+    """{x} and every point reached from it through balls of radius a: the
+    fixpoint of Y -> Y ∪ B(Y, a) from {x}.
+
+    Y only grows, so the loop stops within |support| steps even where a
+    ball misses its centre. When every ball holds its centre, B(Y, a)
+    contains Y and each step is just Y -> B(Y, a).
+    """
     cur = frozenset({x})
-    while True:
-        nxt = b.set_ball(cur, a)
-        if nxt == cur:
-            return cur
-        cur = nxt
+    while not (nxt := b.set_ball(cur, a)) <= cur:
+        cur = nxt if cur <= nxt else cur | nxt
+    return cur
 
 
 def cellularization(b: ExplicitBallean) -> ExplicitBallean:

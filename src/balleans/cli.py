@@ -290,7 +290,10 @@ def _cmd_saturate(args) -> dict:
 
 def _cmd_profile(args) -> dict:
     with open(args.descriptor) as fh:
-        d = GroupDescriptor.from_json(json.load(fh))
+        try:  # json and the cardinal tokens recurse once per nesting level
+            d = GroupDescriptor.from_json(json.load(fh))
+        except RecursionError:
+            raise ValueError("descriptor nested too deeply") from None
     iso = iso_points_classify(d)
     return {"asdim": asdim_classify(d).to_json(),
             "iso_points": {"size": str(iso.size), "witness": iso.witness}}

@@ -94,6 +94,10 @@ class Lattice:
 
     @classmethod
     def from_json(cls, data: dict) -> "Lattice":
+        rows = data.get("basis") if isinstance(data, dict) else None
+        if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)
+                and "ambient" in data):
+            raise ValueError(f"a lattice needs an ambient and a list of rows: {data!r}")
         return lattice_from_generators(data["ambient"], data["basis"])
 
 
@@ -198,7 +202,8 @@ def commensurable(a: Lattice, b: Lattice) -> bool:
     """Both indices |A : A∩B| and |B : A∩B| finite.
 
     As rank(A∩B) = rank A + rank B - rank(A+B), that is rank A = rank B =
-    rank(A+B), read off the canonical row-HNF bases and one HNF of A + B.
+    rank(A+B), read off the canonical row-HNF bases and, only if rank A =
+    rank B, one HNF of A + B.
     """
     _check_same_ambient(a, b)
     return a.rank == b.rank == lattice_sum(a, b).rank
@@ -215,8 +220,10 @@ def log_subgroup_distance(a: Lattice, b: Lattice) -> ExtNat:
     a bounded rescaling, so the exact integer is the authoritative value.
     """
     _check_same_ambient(a, b)
+    if a.rank != b.rank:  # no HNF of A + B needed
+        return INFINITE
     s = lattice_sum(a, b)
-    if not a.rank == b.rank == s.rank:
+    if s.rank != a.rank:
         return INFINITE
     return ExtNat.finite(max(pivot_product(a), pivot_product(b)) // pivot_product(s))
 

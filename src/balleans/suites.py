@@ -29,9 +29,10 @@ from .witnesses import (
     PrimeTuple,
     TaxiPoint,
     VerificationReport,
+    _coordinate_subgroup,
     cyclic_subgroup_tree,
     dlog_closed_form,
-    elementary_abelian_correspondence,
+    elementary_abelian_closed_form,
     hamming_embed,
     iota,
     lz_exp_ball,
@@ -114,10 +115,10 @@ def suite_iota(primes: Sequence[int] = (2, 3), max_coord: int = 6,
     pairs = (list(itertools.combinations(grid, 2))
              if len(grid) ** 2 <= 2 * samples
              else [(rng.choice(grid), rng.choice(grid)) for _ in range(samples)])
+    image = {m: iota(pt, m) for m in grid}
     for m, mp in pairs:
         closed = dlog_closed_form(pt, m, mp)
-        direct = log_subgroup_distance(iota(pt, m), iota(pt, mp))
-        if closed != direct:
+        if closed != log_subgroup_distance(image[m], image[mp]):
             violations.append(("closed-form", m.coords, mp.coords))
     qi = verify_iota_quasi_isometry(pt, pairs)
     report = VerificationReport("iota-embedding", len(pairs),
@@ -127,11 +128,12 @@ def suite_iota(primes: Sequence[int] = (2, 3), max_coord: int = 6,
 
 def suite_hamming(n: int = 2, max_coord: int = 6) -> VerificationReport:
     grid = _taxi_grid(n, max_coord)
+    points = [(m, hamming_embed(n, m)) for m in grid]
     violations = []
     count = 0
-    for m, mp in itertools.combinations_with_replacement(grid, 2):
+    for (m, x), (mp, xp) in itertools.combinations_with_replacement(points, 2):
         count += 1
-        h = hamming_distance(hamming_embed(n, m), hamming_embed(n, mp))
+        h = hamming_distance(x, xp)
         if h != taxi_distance(m, mp):
             violations.append((m.coords, mp.coords, h))
     return VerificationReport("hamming-embedding-isometry", count,
@@ -140,18 +142,20 @@ def suite_hamming(n: int = 2, max_coord: int = 6) -> VerificationReport:
 
 def suite_elemab(primes: Sequence[int] = (2, 3), max_index: int = 4
                  ) -> VerificationReport:
-    indices = list(range(max_index + 1))
-    subsets = [frozenset(c) for size in range(len(indices) + 1)
-               for c in itertools.combinations(indices, size)]
+    """mu'(H_F, H_F') = p^max(|F \\ F'|, |F' \\ F|) over every pair of
+    subsets of {0..max_index}; per prime, one parent group and one lift
+    per subset serve all the pairs."""
     width = max_index + 1
+    subsets = [frozenset(c) for size in range(width + 1)
+               for c in itertools.combinations(range(width), size)]
     violations = []
     count = 0
     for p in primes:
-        for f, fp in itertools.combinations_with_replacement(subsets, 2):
+        parent = FiniteAbelianGroup((p,) * width)
+        lifts = [(f, _coordinate_subgroup(parent, f, width)) for f in subsets]
+        for (f, a), (fp, b) in itertools.combinations_with_replacement(lifts, 2):
             count += 1
-            computed, expected = elementary_abelian_correspondence(
-                p, f, fp, width=width)
-            if computed != expected:
+            if fag_log_distance(a, b) != elementary_abelian_closed_form(p, f, fp):
                 violations.append((p, sorted(f), sorted(fp)))
     return VerificationReport("elementary-abelian-correspondence", count,
                               tuple(violations))
@@ -221,9 +225,10 @@ def suite_lzball(max_n: int = 20, max_m: int = 3) -> VerificationReport:
     for n in range(1, max_n + 1):
         for m in range(0, max_m + 1):
             count += 1
-            if lz_exp_ball(n, m) != lz_exp_ball_windowed(n, m):
+            ball = lz_exp_ball(n, m)
+            if ball != lz_exp_ball_windowed(n, m):
                 violations.append(("window-mismatch", n, m))
-            if n > 3 * m and lz_exp_ball(n, m) != {n}:
+            if n > 3 * m and ball != {n}:
                 violations.append(("singleton", n, m))
     return VerificationReport("integer-subgroup-exp-balls", count,
                               tuple(violations))
@@ -235,11 +240,9 @@ def suite_mu_index() -> VerificationReport:
     count = 0
     for factors in ((12,), (2, 4)):
         g = FiniteAbelianGroup(factors)
-        subs = all_subgroups(g)
-        for a, b in itertools.combinations_with_replacement(subs, 2):
+        subs = [(a, FiniteSubset(g, a.elements())) for a in all_subgroups(g)]
+        for (a, ya), (b, yb) in itertools.combinations_with_replacement(subs, 2):
             count += 1
-            ya = FiniteSubset(g, a.elements())
-            yb = FiniteSubset(g, b.elements())
             if mu_set_distance(ya, yb) != fag_log_distance(a, b):
                 violations.append((factors, sorted(a.elements()),
                                    sorted(b.elements())))

@@ -10,6 +10,7 @@ and group machinery.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -187,11 +188,14 @@ def elementary_abelian_correspondence(p: int, f: Iterable[int],
     if any(i < 0 or i >= width for i in fs | fps):
         raise ValueError("index outside the working width")
     parent = FiniteAbelianGroup((p,) * width)
-    a = _coordinate_subgroup(parent, fs, width)
-    b = _coordinate_subgroup(parent, fps, width)
-    computed = fag_log_distance(a, b)
-    expected = ExtNat.finite(p ** max(len(fs - fps), len(fps - fs)))
-    return computed, expected
+    computed = fag_log_distance(_coordinate_subgroup(parent, fs, width),
+                                _coordinate_subgroup(parent, fps, width))
+    return computed, elementary_abelian_closed_form(p, fs, fps)
+
+
+def elementary_abelian_closed_form(p: int, f: frozenset, fp: frozenset) -> ExtNat:
+    """The predicted mu'(H_F, H_F') = p^max(|F \\ F'|, |F' \\ F|)."""
+    return ExtNat.finite(p ** max(len(f - fp), len(fp - f)))
 
 
 def _coordinate_subgroup(parent: FiniteAbelianGroup, idx: frozenset,
@@ -241,19 +245,21 @@ def cyclic_subgroup_tree(g: FiniteAbelianGroup) -> TreeCertificate:
         if x in generators:
             continue
         s = FAGSubgroup.from_elements(g, [x])
-        subs.append(s)
         n = s.order
+        subs.append((n, s.lift.basis, s))
         generators.update(tuple(c * v % m for v, m in zip(x, ms))
                           for c in range(1, n + 1) if math.gcd(c, n) == 1)
-    vertices = sorted(subs, key=lambda s: (s.order, s.lift.basis))
-    orders = [v.order for v in vertices]
+    subs.sort(key=lambda t: t[:2])
+    orders = [t[0] for t in subs]
+    vertices = tuple(t[2] for t in subs)
     elem_sets = [v.elements() for v in vertices]
     edges = []
-    for i in range(len(vertices)):
-        for j in range(len(vertices)):
-            # edge (child, parent): child j contains parent i with index p
-            if orders[j] == orders[i] * p and elem_sets[i] <= elem_sets[j]:
-                edges.append((j, i))
+    for i, order in enumerate(orders):
+        # edge (child, parent): child j contains parent i with index p; the
+        # candidates j, of order p·|H_i|, are one run of the sorted vertices
+        lo = bisect.bisect_left(orders, order * p, i)
+        hi = bisect.bisect_right(orders, order * p, lo)
+        edges += [(j, i) for j in range(lo, hi) if elem_sets[i] <= elem_sets[j]]
     root = orders.index(1)
     n = len(vertices)
     # connectivity + acyclicity: a tree has n-1 edges and is connected
@@ -270,7 +276,7 @@ def cyclic_subgroup_tree(g: FiniteAbelianGroup) -> TreeCertificate:
                 seen.add(w)
                 frontier.append(w)
     is_tree = len(edges) == n - 1 and len(seen) == n
-    return TreeCertificate(tuple(vertices), tuple(edges), root, height, is_tree)
+    return TreeCertificate(vertices, tuple(edges), root, height, is_tree)
 
 
 def _prime_power(m: int) -> tuple[int, int]:

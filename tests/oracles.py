@@ -276,6 +276,15 @@ def exp_hyperballean_reference(b):
     return tuple(subsets), tuple(b.radii), balls
 
 
+def ball_closure_by_unions(b, x, a):
+    """{x} and the points reached from it, as the fixpoint of
+    Y -> Y ∪ B(Y, a) from {x}, one whole `set_ball` per step."""
+    cur = frozenset({x})
+    while (nxt := cur | b.set_ball(cur, a)) != cur:
+        cur = nxt
+    return cur
+
+
 def exp_power_inclusion_by_sets(b, max_n: int = 4) -> bool:
     """The package's former `suites.exp_power_inclusion_holds`: walk the exp
     balls of `suites.exp_hyperballean_of(b)` as frozensets and compare every
@@ -453,3 +462,159 @@ def lz_log_scan(n: int, bound: int) -> set[int]:
         if max(l // n, l // m) <= bound:
             out.add(m)
     return out
+
+
+# ---------------------------------------------------------------------------
+# verification suites, pair by pair
+
+
+def suite_iota_per_pair(primes=(2, 3), max_coord: int = 6, samples: int = 300,
+                        seed: int = 0):
+    """The package's former `suites.suite_iota`: both iota images rebuilt
+    for every pair."""
+    import random
+
+    from balleans import suites
+    from balleans.lattices import log_subgroup_distance
+    from balleans.witnesses import (PrimeTuple, VerificationReport,
+                                    dlog_closed_form, iota,
+                                    verify_iota_quasi_isometry)
+
+    pt = PrimeTuple(tuple(primes))
+    rng = random.Random(seed)
+    violations = []
+    grid = suites._taxi_grid(pt.n, max_coord)
+    pairs = (list(itertools.combinations(grid, 2))
+             if len(grid) ** 2 <= 2 * samples
+             else [(rng.choice(grid), rng.choice(grid)) for _ in range(samples)])
+    for m, mp in pairs:
+        closed = dlog_closed_form(pt, m, mp)
+        direct = log_subgroup_distance(iota(pt, m), iota(pt, mp))
+        if closed != direct:
+            violations.append(("closed-form", m.coords, mp.coords))
+    qi = verify_iota_quasi_isometry(pt, pairs)
+    return VerificationReport("iota-embedding", len(pairs),
+                              tuple(violations) + qi.violations, qi.max_ratio)
+
+
+def suite_hamming_per_pair(n: int = 2, max_coord: int = 6):
+    """The package's former `suites.suite_hamming`: both Hamming images
+    rebuilt for every pair."""
+    from balleans import suites
+    from balleans.ballean import hamming_distance
+    from balleans.witnesses import VerificationReport, hamming_embed, taxi_distance
+
+    violations = []
+    count = 0
+    grid = suites._taxi_grid(n, max_coord)
+    for m, mp in itertools.combinations_with_replacement(grid, 2):
+        count += 1
+        h = hamming_distance(hamming_embed(n, m), hamming_embed(n, mp))
+        if h != taxi_distance(m, mp):
+            violations.append((m.coords, mp.coords, h))
+    return VerificationReport("hamming-embedding-isometry", count,
+                              tuple(violations))
+
+
+def suite_elemab_per_pair(primes=(2, 3), max_index: int = 4):
+    """The package's former `suites.suite_elemab`: a fresh parent group and
+    two coordinate lifts in every `elementary_abelian_correspondence` call."""
+    from balleans.witnesses import (VerificationReport,
+                                    elementary_abelian_correspondence)
+
+    indices = list(range(max_index + 1))
+    subsets = [frozenset(c) for size in range(len(indices) + 1)
+               for c in itertools.combinations(indices, size)]
+    violations = []
+    count = 0
+    for p in primes:
+        for f, fp in itertools.combinations_with_replacement(subsets, 2):
+            count += 1
+            computed, expected = elementary_abelian_correspondence(
+                p, f, fp, width=max_index + 1)
+            if computed != expected:
+                violations.append((p, sorted(f), sorted(fp)))
+    return VerificationReport("elementary-abelian-correspondence", count,
+                              tuple(violations))
+
+
+def suite_lzball_per_pair(max_n: int = 20, max_m: int = 3):
+    """The package's former `suites.suite_lzball`: `lz_exp_ball` called once
+    per check."""
+    from balleans.suites import lz_exp_ball_windowed
+    from balleans.witnesses import VerificationReport, lz_exp_ball
+
+    violations = []
+    count = 0
+    for n in range(1, max_n + 1):
+        for m in range(0, max_m + 1):
+            count += 1
+            if lz_exp_ball(n, m) != lz_exp_ball_windowed(n, m):
+                violations.append(("window-mismatch", n, m))
+            if n > 3 * m and lz_exp_ball(n, m) != {n}:
+                violations.append(("singleton", n, m))
+    return VerificationReport("integer-subgroup-exp-balls", count,
+                              tuple(violations))
+
+
+def suite_mu_index_per_pair():
+    """The package's former `suites.suite_mu_index`: both `FiniteSubset`s
+    rebuilt for every pair."""
+    from balleans.ballean import FiniteSubset, mu_set_distance
+    from balleans.groups import FiniteAbelianGroup, all_subgroups, fag_log_distance
+    from balleans.witnesses import VerificationReport
+
+    violations = []
+    count = 0
+    for factors in ((12,), (2, 4)):
+        g = FiniteAbelianGroup(factors)
+        for a, b in itertools.combinations_with_replacement(all_subgroups(g), 2):
+            count += 1
+            ya = FiniteSubset(g, a.elements())
+            yb = FiniteSubset(g, b.elements())
+            if mu_set_distance(ya, yb) != fag_log_distance(a, b):
+                violations.append((factors, sorted(a.elements()),
+                                   sorted(b.elements())))
+    return VerificationReport("mu-equals-index-formula", count,
+                              tuple(violations))
+
+
+def cyclic_subgroup_tree_by_scan(g):
+    """The package's former `witnesses.cyclic_subgroup_tree`: every ordered
+    pair of vertices tested for an index-p containment edge."""
+    from balleans.groups import FAGSubgroup
+    from balleans.witnesses import TreeCertificate, _prime_power
+
+    p, height = _prime_power(g.exponent)
+    ms = g.invariant_factors
+    subs = []
+    generators: set = set()
+    for x in g.elements():
+        if x in generators:
+            continue
+        s = FAGSubgroup.from_elements(g, [x])
+        subs.append(s)
+        n = s.order
+        generators.update(tuple(c * v % m for v, m in zip(x, ms))
+                          for c in range(1, n + 1) if math.gcd(c, n) == 1)
+    vertices = sorted(subs, key=lambda s: (s.order, s.lift.basis))
+    orders = [v.order for v in vertices]
+    elem_sets = [v.elements() for v in vertices]
+    edges = [(j, i) for i in range(len(vertices)) for j in range(len(vertices))
+             if orders[j] == orders[i] * p and elem_sets[i] <= elem_sets[j]]
+    root = orders.index(1)
+    n = len(vertices)
+    adj = {k: set() for k in range(n)}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = {root}
+    frontier = [root]
+    while frontier:
+        v = frontier.pop()
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    is_tree = len(edges) == n - 1 and len(seen) == n
+    return TreeCertificate(tuple(vertices), tuple(edges), root, height, is_tree)

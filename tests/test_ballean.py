@@ -34,6 +34,7 @@ from balleans.lattices import ExtNat
 from balleans.suites import random_ballean
 
 from oracles import (
+    ball_closure_by_unions,
     closure,
     element_count_mu,
     exp_hyperballean_reference,
@@ -117,6 +118,28 @@ class TestBallsAndCellularization:
     def test_discrete_bounded_already_cellular(self):
         assert is_cellular(discrete_ballean(range(3)))
         assert is_cellular(bounded_ballean(range(3)))
+
+    def test_closure_stops_when_balls_miss_their_centres(self):
+        # set_ball alone cycles {0} -> {1} -> {0}; the closure is the union
+        b = ExplicitBallean.from_table((0, 1), ("a",),
+                                       {(0, "a"): {1}, (1, "a"): {0}})
+        c = cellularization(b)
+        assert c.ball(0, "a") == c.ball(1, "a") == frozenset({0, 1})
+        assert not is_cellular(b)
+        assert is_cellular(c)
+
+    def test_cellularization_matches_unions_on_arbitrary_tables(self):
+        # balls may miss their centre or be asymmetric, but stay in the support
+        rng = random.Random(11)
+        for _ in range(200):
+            support = tuple(range(rng.randint(1, 7)))
+            radii = ("r", "s")
+            table = {(x, a): frozenset(rng.sample(support, rng.randint(0, len(support))))
+                     for x in support for a in radii}
+            b = ExplicitBallean(support, radii, table)
+            assert cellularization(b).balls == {
+                (x, a): ball_closure_by_unions(b, x, a)
+                for x in support for a in radii}
 
 
 class TestComponents:

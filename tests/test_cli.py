@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -132,6 +133,11 @@ class TestOtherCommands:
         assert code == 0
         assert out[0]["ok"] and out[0]["violations"] == []
 
+    def test_verify_all_matches_the_recorded_report(self, capsys):
+        recorded = pathlib.Path(__file__).parent / "data" / "verify_all_seed0.json"
+        assert run(["verify", "--suite", "all", "--seed", "0"]) == 0
+        assert capsys.readouterr().out == recorded.read_text()
+
     def test_verify_failure_prints_report_and_exits_1(self, capsys, monkeypatch):
         failing = VerificationReport("broken", 1, (("bad", 0),))
         monkeypatch.setitem(suites.SUITES, "tree",
@@ -262,6 +268,17 @@ class TestExitCodes:
     def test_domain_error_malformed_descriptor(self, capsys, tmp_path, desc):
         path = tmp_path / "desc.json"
         path.write_text(json.dumps(desc))
+        assert run(["profile", "--descriptor", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("depth", [990, 3000])
+    def test_domain_error_deeply_nested_descriptor(self, capsys, tmp_path, depth):
+        # 3000 levels stop json.load, 990 the recursive cardinal decoder
+        path = tmp_path / "desc.json"
+        path.write_text('{"free_rank": ' + '{"two_to_the": ' * depth + "0"
+                        + "}" * depth + "}")
         assert run(["profile", "--descriptor", str(path)]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:")

@@ -81,6 +81,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             lattice_from_generators(ambient, [[3]])
 
+    @pytest.mark.parametrize("data", [
+        {"ambient": 2}, {"basis": [[2, 4]]}, {}, [1, 2], "x", None, 3,
+        {"ambient": 2, "basis": None}, {"ambient": 2, "basis": [2, 4]},
+        {"ambient": 2, "basis": [[2, "4"]]}, {"ambient": 2, "basis": [[2.0, 4]]},
+        {"ambient": 1, "basis": [[True]]}, {"ambient": 2, "basis": [[2, 4, 6]]},
+    ])
+    def test_json_rejects_malformed_shapes(self, data):
+        with pytest.raises(ValueError):
+            Lattice.from_json(data)
+
 
 class TestMembershipSumIntersection:
     def test_member_oracle(self):

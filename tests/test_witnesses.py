@@ -36,9 +36,15 @@ from balleans.witnesses import (
 
 from oracles import (
     coordinate_subgroup_by_closure,
+    cyclic_subgroup_tree_by_scan,
     exp_power_inclusion_by_sets,
     lz_exp_scan,
     lz_log_scan,
+    suite_elemab_per_pair,
+    suite_hamming_per_pair,
+    suite_iota_per_pair,
+    suite_lzball_per_pair,
+    suite_mu_index_per_pair,
 )
 
 
@@ -230,6 +236,13 @@ class TestCyclicSubgroupTree:
             with pytest.raises(ValueError, match="not a p-group"):
                 cyclic_subgroup_tree(FiniteAbelianGroup(orders))
 
+    def test_matches_the_all_pairs_scan(self):
+        groups = suites._abelian_p_groups(81)
+        assert len(groups) == 64
+        for g in groups:
+            assert cyclic_subgroup_tree(g).to_json() == \
+                cyclic_subgroup_tree_by_scan(g).to_json(), g.invariant_factors
+
 
 class TestLzBalls:
     def test_exp_fixtures(self):
@@ -368,3 +381,62 @@ class TestSuites:
     def test_suite_registry(self):
         assert set(SUITES) == {"iota", "hamming", "elemab", "tree", "lzball",
                                "mu-index", "cellular", "axioms"}
+
+
+class TestSuitesMatchPerPairRoutes:
+    """The suites build each point's lift, embedding or subset once; the
+    former routes in `tests/oracles.py` rebuild them for every pair, and
+    must give equal reports, violations included."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("primes,max_coord",
+                             [((2, 3), 1), ((2, 3), 3), ((2, 3), 6), ((2, 3, 5), 3)])
+    def test_iota(self, seed, primes, max_coord):
+        kw = dict(primes=primes, max_coord=max_coord, seed=seed)
+        assert suites.suite_iota(**kw) == suite_iota_per_pair(**kw)
+
+    @pytest.mark.parametrize("n,max_coord", [(2, 1), (2, 3), (2, 6), (3, 3)])
+    def test_hamming(self, n, max_coord):
+        assert suites.suite_hamming(n, max_coord) == \
+            suite_hamming_per_pair(n, max_coord)
+
+    @pytest.mark.parametrize("primes,max_index", [((2, 3), 4), ((5,), 2)])
+    def test_elemab(self, primes, max_index):
+        assert suites.suite_elemab(primes, max_index) == \
+            suite_elemab_per_pair(primes, max_index)
+
+    def test_lzball_and_mu_index(self):
+        assert suites.suite_lzball() == suite_lzball_per_pair()
+        assert suites.suite_lzball(7, 1) == suite_lzball_per_pair(7, 1)
+        assert suites.suite_mu_index() == suite_mu_index_per_pair()
+
+    # each skew makes a compared function wrong on some inputs, so that the
+    # suite and its former route both list violations, in the same order
+    @pytest.mark.parametrize("suite,route,name,modules,skew", [
+        ("suite_iota", suite_iota_per_pair, "dlog_closed_form",
+         ("suites", "witnesses"),
+         lambda real: lambda pt, m, mp: real(pt, m, mp) * ExtNat.finite(
+             1 + (m.coords[0] == 1))),
+        ("suite_hamming", suite_hamming_per_pair, "taxi_distance",
+         ("suites", "witnesses"),
+         lambda real: lambda m, mp: real(m, mp) + (m.coords[-1] == 2)),
+        ("suite_elemab", suite_elemab_per_pair, "elementary_abelian_closed_form",
+         ("suites", "witnesses"),
+         lambda real: lambda p, f, fp: real(p, f, fp) * ExtNat.finite(
+             1 + (0 in f and p == 3))),
+        ("suite_lzball", suite_lzball_per_pair, "lz_exp_ball_windowed",
+         ("suites",),
+         lambda real: lambda n, m: set() if n % 7 == 0 else real(n, m)),
+        ("suite_mu_index", suite_mu_index_per_pair, "mu_set_distance",
+         ("suites", "ballean"),
+         lambda real: lambda y, z: real(y, z) * ExtNat.finite(
+             1 + (len(y.elements) == 2))),
+    ])
+    def test_violations_reported_alike(self, monkeypatch, suite, route, name,
+                                       modules, skew):
+        wrong = skew(getattr(suites, name))
+        for mod in modules:
+            monkeypatch.setattr(f"balleans.{mod}.{name}", wrong)
+        report = getattr(suites, suite)()
+        assert report.violations
+        assert report == route()
