@@ -31,15 +31,21 @@ ZERO_ONE = bytes.maketrans(b"01", b"\0\1")  # '0'/'1' digits to falsy/truthy byt
 class ExplicitBallean:
     """A finite ballean given by its full ball table.
 
-    Construction only normalizes the table (and refuses a ball whose key is
-    not in support x radii); axiom checking is the separate
-    validate_ballean so that deliberately broken instances can be built and
-    reported on.
+    Construction refuses repeated points or radii; from_table also
+    normalizes the table (and refuses a ball whose key is not in support x
+    radii). Axiom checking is the separate validate_ballean so that
+    deliberately broken instances can be built and reported on.
     """
 
     support: tuple[Point, ...]
     radii: tuple[Radius, ...]
     balls: dict[tuple[Point, Radius], frozenset]
+
+    def __post_init__(self) -> None:  # the mask view indexes points by position
+        for kind, items in (("point", self.support), ("radius", self.radii)):
+            if len(set(items)) < len(items):
+                rep = next(v for i, v in enumerate(items) if v in items[:i])
+                raise ValueError(f"repeated {kind}: {rep!r}")
 
     @classmethod
     def from_table(cls, support: Iterable[Point], radii: Iterable[Radius],
@@ -92,6 +98,8 @@ class ExplicitBallean:
                     and isinstance(entry[2], list)):
                 raise ValueError(f"bad ball entry: {entry!r}")
             key = (_decode_id(entry[0]), _decode_id(entry[1]))
+            if key in table:
+                raise ValueError(f"repeated ball entry: {key!r}")
             table[key] = frozenset(_decode_id(m) for m in entry[2])
         b = cls.from_table(sup, rad, table)
         report = validate_ballean(b)
@@ -183,27 +191,82 @@ class BalleanValidation:
         return out
 
 
+def _ball_masks(b: ExplicitBallean) -> list[tuple[list[int], list[int], int]]:
+    """Per radius a, the table as masks over the (distinct) support positions:
+    rows[j] is B(x_j, a), inv[i] the j with x_i in B(x_j, a), and stray the j
+    whose ball names a point outside the support."""
+    index = {x: i for i, x in enumerate(b.support)}
+    out = []
+    for a in b.radii:
+        rows, inv, stray = [0] * len(b.support), [0] * len(b.support), 0
+        for j, x in enumerate(b.support):
+            for y in b.ball(x, a):
+                i = index.get(y)
+                if i is None:
+                    stray |= 1 << j
+                else:
+                    rows[j] |= 1 << i
+                    inv[i] |= 1 << j
+        out.append((rows, inv, stray))
+    return out
+
+
+def _support_rows(b: ExplicitBallean) -> list[list[int]]:
+    """Every radius's rows, raising where a ball names a point outside the support."""
+    views = _ball_masks(b)
+    if any(stray for _, _, stray in views):
+        raise ValueError("unknown point or radius")
+    return [rows for rows, _, _ in views]
+
+
+def _union(rows: list[int], m: int) -> int:
+    """The OR of rows[i] over the bits i of m."""
+    u = 0
+    while m:
+        low = m & -m
+        u |= rows[low.bit_length() - 1]
+        m ^= low
+    return u
+
+
+class _MaskSets(dict):
+    """mask -> frozenset of the points at its bits, built on first lookup."""
+
+    def __init__(self, points: Sequence):  # empty, as dict.__new__ leaves it
+        self.by_bit, self.width = points[::-1], f"0{len(points)}b"
+
+    def __missing__(self, m: int) -> frozenset:
+        flags = format(m, self.width).encode().translate(ZERO_ONE)
+        s = self[m] = frozenset(itertools.compress(self.by_bit, flags))
+        return s
+
+
 def validate_ballean(b: ExplicitBallean) -> BalleanValidation:
     """Check containment, symmetry, and witnessed upper multiplicativity.
 
     Multiplicativity demands, for each radius pair (a, b), a single radius g
-    with B(B(x,a),b) subset of B(x,g) simultaneously for every x.
+    with B(B(x,a),b) subset of B(x,g) simultaneously for every x. The first
+    violation in table order is reported: only an x whose mask row differs
+    from its transpose, or names a stray point, is walked to name y.
     """
     for x in b.support:
         for a in b.radii:
             if x not in b.ball(x, a):
                 return BalleanValidation(False, containment_violation=(x, a))
-    for a in b.radii:
-        for x in b.support:
-            for y in b.ball(x, a):
-                if x not in b.ball(y, a):
-                    return BalleanValidation(False, symmetry_violation=(x, y, a))
-    for a in b.radii:
-        for c in b.radii:
-            composed = {x: b.set_ball(b.ball(x, a), c) for x in b.support}
-            if not any(all(composed[x] <= b.ball(x, g) for x in b.support)
-                       for g in b.radii):
-                worst = max(b.support, key=lambda x: len(composed[x]))
+    views = _ball_masks(b)
+    for a, (rows, inv, stray) in zip(b.radii, views):
+        for j, x in enumerate(b.support):
+            if rows[j] & ~inv[j] or stray >> j & 1:
+                for y in b.ball(x, a):
+                    if x not in b.ball(y, a):
+                        return BalleanValidation(False, symmetry_violation=(x, y, a))
+    for a, (rows_a, _, _) in zip(b.radii, views):
+        for c, (rows_c, _, _) in zip(b.radii, views):
+            union = {r: _union(rows_c, r) for r in set(rows_a)}
+            composed = [union[r] for r in rows_a]
+            if not any(all(not u & ~g for u, g in zip(composed, rows_g))
+                       for rows_g, _, _ in views):
+                worst = max(zip(composed, b.support), key=lambda t: t[0].bit_count())[1]
                 return BalleanValidation(
                     False, multiplicativity_violation=(a, c, worst))
     return BalleanValidation(True)
@@ -221,52 +284,42 @@ def ball_iterate(b: ExplicitBallean, x: Point, a: Radius, n: int) -> frozenset:
     return cur
 
 
-def _ball_closure(b: ExplicitBallean, x: Point, a: Radius) -> frozenset:
-    """{x} and every point reached from it through balls of radius a: the
-    fixpoint of Y -> Y ∪ B(Y, a) from {x}.
-
-    Y only grows, so the loop stops within |support| steps even where a
-    ball misses its centre. When every ball holds its centre, B(Y, a)
-    contains Y and each step is just Y -> B(Y, a).
-    """
-    cur = frozenset({x})
-    while not (nxt := b.set_ball(cur, a)) <= cur:
-        cur = nxt if cur <= nxt else cur | nxt
-    return cur
+def _closures(rows: list[int]) -> list[int]:
+    """{j} and every position reached from j through the rows: Warshall's
+    transitive closure on bitset rows (J. ACM 9, 1962)."""
+    reach = list(rows)
+    for k, rk in enumerate(reach):  # rk already holds rows 0..k-1's updates
+        for i, ri in enumerate(reach):
+            if ri >> k & 1:
+                reach[i] = ri | rk
+    return [r | 1 << j for j, r in enumerate(reach)]
 
 
 def cellularization(b: ExplicitBallean) -> ExplicitBallean:
     """Replace each ball with its transitive closure; idempotent."""
-    table = {(x, a): _ball_closure(b, x, a)
-             for x in b.support for a in b.radii}
+    members = _MaskSets(b.support)
+    table = {(x, a): members[m] for a, rows in zip(b.radii, _support_rows(b))
+             for x, m in zip(b.support, _closures(rows))}
     return ExplicitBallean(b.support, b.radii, table)
 
 
 def is_cellular(b: ExplicitBallean) -> bool:
-    return cellularization(b).balls == b.balls
+    return (all(_closures(rows) == rows for rows in _support_rows(b))
+            and len(b.balls) == len(b.support) * len(b.radii))
 
 
 def connected_components(b: ExplicitBallean) -> list[frozenset]:
-    """Partition of the support under reachability through any ball."""
-    neighbors = {x: set() for x in b.support}
-    for x in b.support:
-        for a in b.radii:
-            neighbors[x] |= b.ball(x, a)
-    seen: set = set()
-    out = []
-    for x in b.support:
-        if x in seen:
-            continue
-        comp = {x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for z in neighbors[y]:
-                if z not in comp:
-                    comp.add(z)
-                    frontier.append(z)
-        seen |= comp
-        out.append(frozenset(comp))
+    """Partition of the support under reachability through any ball: each
+    point not yet seen, in support order, starts one component."""
+    adj = [0] * len(b.support)
+    for rows in _support_rows(b):
+        adj = [u | r for u, r in zip(adj, rows)]
+    members = _MaskSets(b.support)
+    seen, out = 0, []
+    for j, comp in enumerate(_closures(adj)):
+        if not seen >> j & 1:
+            seen |= comp
+            out.append(members[comp])
     return out
 
 
@@ -318,63 +371,53 @@ def coproduct_ballean(bs: Sequence[ExplicitBallean]) -> ExplicitBallean:
     return ExplicitBallean(tuple(support), tuple(radii), table)
 
 
-def subset_bitsets(n: int) -> list[int]:
-    """subsets[m] for every mask m over n positions: bit s set iff s <= m."""
-    subsets = [1] * (1 << n)
-    for m in range(1, 1 << n):
+def _exp_balls(rows: list[int], inv: list[int], subsets: list[int]
+               ) -> tuple[list[int], list[int]]:
+    """blown[m], the mask of B(m), and balls[m] = subsets[blown[m]] & covers[m],
+    the bitset of exp B(m), per subset mask m. covers[Y] holds the Z meeting
+    inv[i] for each i in Y (Y inside B(Z)): covers[Y - low] & meets[i]."""
+    full = len(subsets) - 1
+    meets = [subsets[full] & ~subsets[full & ~v] for v in inv]
+    blown, covers = [0] * (full + 1), [subsets[full]] * (full + 1)
+    for m in range(1, full + 1):
         low = m & -m
-        subsets[m] = subsets[m ^ low] | subsets[m ^ low] << low
-    return subsets
+        i = low.bit_length() - 1
+        blown[m] = blown[m ^ low] | rows[i]
+        covers[m] = covers[m ^ low] & meets[i]
+    return blown, [subsets[u] & c for u, c in zip(blown, covers)]
 
 
-def exp_hyperballean_of(b: ExplicitBallean) -> ExplicitBallean:
-    """The hyperballean on all nonempty subsets: Z is within radius a of Y
-    iff Z is inside B(Y,a) and Y is inside B(Z,a).
-
-    Subsets are int masks over the support positions; a set of subsets is
-    a bitset over the masks, subsets[m] that of the Z <= m. For each radius,
-    blown[m] is the mask of B(m, a), inv[i] that of the points whose ball
-    holds i, and meets[i] the bitset of the Z that meet inv[i]. As Y <=
-    B(Z, a) iff Z meets inv[i] for every i in Y, covers[Y] = covers[Y - low]
-    & meets[i] (i the lowest bit of Y) and the ball of Y is subsets[blown[Y]]
-    & covers[Y]. Each distinct ball bitset becomes one frozenset, shared by
-    every (Y, a) with that ball. Ball entries outside the support are ignored.
-    """
+def _exp_tables(b: ExplicitBallean) -> tuple[list[int], Iterable[tuple]]:
+    """subsets, where bit s of subsets[m] is set iff s <= m, and lazily per
+    radius (rows, stray, blown, balls); every radius's masks are built
+    first, so a missing key raises early."""
     n = len(b.support)
     if n > EXP_SUPPORT_LIMIT:
         raise ValueError(f"support has {n} points; exp enumeration allows "
                          f"at most {EXP_SUPPORT_LIMIT}")
-    index = {x: i for i, x in enumerate(b.support)}
+    views, subsets = _ball_masks(b), [1] * (1 << n)
+    for m in range(1, 1 << n):
+        low = m & -m
+        subsets[m] = subsets[m ^ low] | subsets[m ^ low] << low
+    return subsets, ((rows, stray, *_exp_balls(rows, inv, subsets))
+                     for rows, inv, stray in views)
+
+
+def exp_hyperballean_of(b: ExplicitBallean) -> ExplicitBallean:
+    """The hyperballean on all nonempty subsets: Z is within radius a of Y
+    iff Z is inside B(Y,a) and Y is inside B(Z,a). Each ball is a bitset of
+    _exp_tables over the subset masks, one frozenset per distinct ball;
+    entries outside the support are ignored."""
+    _, radii = _exp_tables(b)
+    n = len(b.support)
     masks = [sum(1 << i for i in c) for size in range(1, n + 1)
              for c in itertools.combinations(range(n), size)]
-    subset_of = [frozenset(x for i, x in enumerate(b.support) if m >> i & 1)
-                 for m in range(1 << n)]
-    full = (1 << n) - 1
-    subsets = subset_bitsets(n)
-    by_bit = subset_of[::-1]  # the subsets in the order format() prints bits
-    table, shared = {}, {}  # shared: ball bitset -> its one frozenset
-    for a in b.radii:
-        ball, inv = [0] * n, [0] * n
-        for j, x in enumerate(b.support):
-            for y in b.ball(x, a):
-                if y in index:
-                    ball[j] |= 1 << index[y]
-                    inv[index[y]] |= 1 << j
-        meets = [subsets[full] & ~subsets[full & ~v] for v in inv]
-        blown = [0] * (full + 1)
-        covers = [subsets[full]] * (full + 1)
-        for m in range(1, full + 1):
-            low = m & -m
-            i = low.bit_length() - 1
-            blown[m] = blown[m ^ low] | ball[i]
-            covers[m] = covers[m ^ low] & meets[i]
-        for y in masks:
-            bits = subsets[blown[y]] & covers[y]
-            ball_y = shared.get(bits)
-            if ball_y is None:
-                flags = format(bits, f"0{full + 1}b").encode().translate(ZERO_ONE)
-                ball_y = shared[bits] = frozenset(itertools.compress(by_bit, flags))
-            table[(subset_of[y], a)] = ball_y
+    subset_of = [frozenset()] * (1 << n)
+    for m in range(1, 1 << n):  # the lowest-bit recurrence of _exp_tables
+        subset_of[m] = subset_of[m & m - 1] | {b.support[(m & -m).bit_length() - 1]}
+    members = _MaskSets(subset_of)  # a hit is one dict lookup, no Python call
+    table = {(subset_of[y], a): members[balls[y]]
+             for a, (_, _, _, balls) in zip(b.radii, radii) for y in masks}
     return ExplicitBallean(tuple(subset_of[m] for m in masks), b.radii, table)
 
 

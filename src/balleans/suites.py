@@ -15,12 +15,14 @@ from typing import Iterable, Optional, Sequence
 from .ballean import (
     ExplicitBallean,
     FiniteSubset,
+    _exp_balls,
+    _exp_tables,
+    _union,
     cellularization,
     exp_hyperballean_of,
     hamming_distance,
     is_cellular,
     mu_set_distance,
-    subset_bitsets,
     validate_ballean,
 )
 from .groups import FiniteAbelianGroup, _is_prime, all_subgroups, fag_log_distance
@@ -73,23 +75,15 @@ def random_ballean(rng: random.Random, max_size: int = 6) -> ExplicitBallean:
             rel[b].add(a)
         return rel
 
-    def compose(r, s):
-        return {x: set().union(*(s[y] for y in r[x])) for x in points}
-
-    def closure(r):
-        cur = r
-        while True:
-            nxt = compose(cur, cur)
-            if nxt == cur:
-                return cur
-            cur = nxt
-
     r1 = random_relation(rng.randint(0, size))
     r2 = random_relation(rng.randint(0, size), base=r1)
-    layers = {"a": r1, "b": r2, "bb": compose(r2, r2), "cl": closure(r2)}
     table = {(x, name): frozenset(rel[x])
-             for name, rel in layers.items() for x in points}
-    return ExplicitBallean(tuple(points), tuple(layers), table)
+             for name, rel in (("a", r1), ("b", r2)) for x in points}
+    b = ExplicitBallean(tuple(points), ("a", "b"), dict(table))
+    closed = cellularization(b)
+    table.update({(x, "bb"): b.set_ball(b.ball(x, "b"), "b") for x in points})
+    table.update({(x, "cl"): closed.ball(x, "b") for x in points})
+    return ExplicitBallean(tuple(points), ("a", "b", "bb", "cl"), table)
 
 
 # ---------------------------------------------------------------------------
@@ -255,61 +249,28 @@ def exp_power_inclusion_holds(b: ExplicitBallean, max_n: int = 4) -> bool:
     every Z reachable from Y in n exp-steps satisfies Z within B^n(Y) and Y
     within B^n(Z).
 
-    Subsets are int masks over the support positions. Per radius, power[m]
-    is the mask of B^n(m), one lowest-bit table lookup per step, and the
-    exp balls read from `exp_hyperballean_of(b)` become bitsets over the
-    masks, as does reach[y], the set of subsets reached from y in n steps.
-    The test is reach[y] within {Z within B^n(Y)} and {Z : Y within
-    B^n(Z)}, read off subsets[power[y]] and covers[y]. B^2 expands the
-    points of B^1, so from max_n = 2 on a ball naming a point outside the
-    support raises ValueError.
+    On the masks and bitsets of `ballean._exp_tables`, reach[y] holds the
+    subsets reached from y in n exp steps and rows[j] is B^n({j}); the test
+    is that reach[y] lies in the exp ball of y in the table of B^n. From
+    max_n = 2 on, a ball naming a point outside the support raises.
     """
-    expb = exp_hyperballean_of(b)
-    size = len(b.support)
-    full = (1 << size) - 1
-    index = {x: i for i, x in enumerate(b.support)}
-    mask_of = {z: sum(1 << index[x] for x in z) for z in expb.support}
-    subsets = subset_bitsets(size)  # bit s of subsets[m]: s within m
-    for a in b.radii:
-        ball = [0] * size
-        for i, x in enumerate(b.support):
-            for y in b.ball(x, a):
-                if y in index:
-                    ball[i] |= 1 << index[y]
-                elif max_n > 1:
-                    raise ValueError("unknown point or radius")
-        one = [0] * (full + 1)  # one[m]: the mask of B(m)
-        for m in range(1, full + 1):
-            low = m & -m
-            one[m] = one[m ^ low] | ball[low.bit_length() - 1]
-        exp = [0] * (full + 1)
-        for z, m in mask_of.items():
-            exp[m] = sum(1 << mask_of[w] for w in expb.ball(z, a))
+    subsets, radii = _exp_tables(b)
+    for rows, stray, blown, exp in radii:
+        if stray and max_n > 1:
+            raise ValueError("unknown point or radius")
         image: dict = {}  # bitset X -> union of exp[z] over z in X
-        reach = {m: 1 << m for m in mask_of.values()}
-        power = list(range(full + 1))
+        reach = {m: 1 << m for m in range(1, len(subsets))}
         for _ in range(max_n):
-            power = [one[p] for p in power]
-            # B^n(Z) is the union of the B^n({j}), j in Z, so it holds i iff
-            # Z meets holders[i], the j whose B^n({j}) holds i
-            holders = [sum(1 << j for j in range(size) if power[1 << j] >> i & 1)
-                       for i in range(size)]
-            covers = [subsets[full]] * (full + 1)  # covers[y]: the Z, y within B^n(Z)
-            for m in range(1, full + 1):
-                low = m & -m
-                meets = ~subsets[full & ~holders[low.bit_length() - 1]]
-                covers[m] = covers[m ^ low] & meets
+            inv = [sum(1 << j for j, r in enumerate(rows) if r >> i & 1)
+                   for i in range(len(rows))]
+            _, within = _exp_balls(rows, inv, subsets)
             for y, x in reach.items():
                 if x not in image:
-                    r, rest = 0, x
-                    while rest:
-                        low = rest & -rest
-                        r |= exp[low.bit_length() - 1]
-                        rest ^= low
-                    image[x] = r
+                    image[x] = _union(exp, x)
                 reach[y] = image[x]
-                if image[x] & ~(subsets[power[y]] & covers[y]):
+                if image[x] & ~within[y]:
                     return False
+            rows = [blown[r] for r in rows]  # B^(n+1)({j}) = B(B^n({j}))
     return True
 
 

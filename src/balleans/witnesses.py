@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .ballean import LZ_ENUMERATION_LIMIT, HammingPoint
+from .ballean import LZ_ENUMERATION_LIMIT, HammingPoint, _union
 from .groups import FAGSubgroup, FiniteAbelianGroup, _is_prime, fag_log_distance
-from .lattices import ExtNat, Lattice, lattice_from_generators
+from .lattices import ExtNat, Lattice, lattice_from_generators, member
 
 # ---------------------------------------------------------------------------
 # prime-exponent tuples in the subgroup space of Z
@@ -246,36 +246,29 @@ def cyclic_subgroup_tree(g: FiniteAbelianGroup) -> TreeCertificate:
             continue
         s = FAGSubgroup.from_elements(g, [x])
         n = s.order
-        subs.append((n, s.lift.basis, s))
+        subs.append((n, s.lift.basis, x, s))
         generators.update(tuple(c * v % m for v, m in zip(x, ms))
                           for c in range(1, n + 1) if math.gcd(c, n) == 1)
     subs.sort(key=lambda t: t[:2])
-    orders = [t[0] for t in subs]
-    vertices = tuple(t[2] for t in subs)
-    elem_sets = [v.elements() for v in vertices]
+    orders, _, gens, vertices = zip(*subs)
     edges = []
-    for i, order in enumerate(orders):
-        # edge (child, parent): child j contains parent i with index p; the
-        # candidates j, of order p·|H_i|, are one run of the sorted vertices
+    for i, (order, x) in enumerate(zip(orders, gens)):
+        # edge (child, parent): x, so H_i = <x>, lies in H_j with index p;
+        # the candidates j, of order p·|H_i|, are one run of the sorted vertices
         lo = bisect.bisect_left(orders, order * p, i)
         hi = bisect.bisect_right(orders, order * p, lo)
-        edges += [(j, i) for j in range(lo, hi) if elem_sets[i] <= elem_sets[j]]
+        edges += [(j, i) for j in range(lo, hi) if member(x, vertices[j].lift)]
     root = orders.index(1)
-    n = len(vertices)
     # connectivity + acyclicity: a tree has n-1 edges and is connected
-    adj = {k: set() for k in range(n)}
+    adj = [0] * len(vertices)
     for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {root}
-    frontier = [root]
-    while frontier:
-        v = frontier.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    is_tree = len(edges) == n - 1 and len(seen) == n
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    seen = reached = 1 << root
+    while reached:
+        reached = _union(adj, reached) & ~seen
+        seen |= reached
+    is_tree = len(edges) == len(vertices) - 1 and seen == (1 << len(vertices)) - 1
     return TreeCertificate(vertices, tuple(edges), root, height, is_tree)
 
 

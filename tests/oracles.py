@@ -276,13 +276,61 @@ def exp_hyperballean_reference(b):
     return tuple(subsets), tuple(b.radii), balls
 
 
-def ball_closure_by_unions(b, x, a):
-    """{x} and the points reached from it, as the fixpoint of
-    Y -> Y ∪ B(Y, a) from {x}, one whole `set_ball` per step."""
-    cur = frozenset({x})
-    while (nxt := cur | b.set_ball(cur, a)) != cur:
-        cur = nxt
-    return cur
+def cellularization_by_unions(b) -> dict:
+    """The ball table of `ballean.cellularization(b)`: at (x, a), {x} and
+    the points reached from it, as the fixpoint of Y -> Y ∪ B(Y, a) from
+    {x}, one whole `set_ball` per step."""
+    table = {}
+    for x in b.support:
+        for a in b.radii:
+            cur = frozenset({x})
+            while (nxt := cur | b.set_ball(cur, a)) != cur:
+                cur = nxt
+            table[(x, a)] = cur
+    return table
+
+
+def validate_by_sets(b):
+    """The package's former `ballean.validate_ballean`: the three axioms
+    checked on the frozenset table, in support and then radius order."""
+    from balleans.ballean import BalleanValidation
+
+    for x in b.support:
+        for a in b.radii:
+            if x not in b.ball(x, a):
+                return BalleanValidation(False, containment_violation=(x, a))
+    for a in b.radii:
+        for x in b.support:
+            for y in b.ball(x, a):
+                if x not in b.ball(y, a):
+                    return BalleanValidation(False, symmetry_violation=(x, y, a))
+    for a in b.radii:
+        for c in b.radii:
+            composed = {x: b.set_ball(b.ball(x, a), c) for x in b.support}
+            if not any(all(composed[x] <= b.ball(x, g) for x in b.support)
+                       for g in b.radii):
+                worst = max(b.support, key=lambda x: len(composed[x]))
+                return BalleanValidation(
+                    False, multiplicativity_violation=(a, c, worst))
+    return BalleanValidation(True)
+
+
+def components_by_search(b) -> list:
+    """The package's former `ballean.connected_components`: a depth-first
+    search from each point not yet seen, through every radius's ball, in
+    support order; `b.ball` refuses a point outside the support."""
+    seen, out = set(), []
+    for x in b.support:
+        if x not in seen:
+            comp, frontier = {x}, [x]
+            while frontier:
+                y = frontier.pop()
+                for z in set().union(*(b.ball(y, a) for a in b.radii)) - comp:
+                    comp.add(z)
+                    frontier.append(z)
+            seen |= comp
+            out.append(frozenset(comp))
+    return out
 
 
 def exp_power_inclusion_by_sets(b, max_n: int = 4) -> bool:

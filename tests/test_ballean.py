@@ -5,6 +5,7 @@ import pytest
 
 from balleans import ballean
 from balleans.ballean import (
+    BalleanValidation,
     ExplicitBallean,
     _max_matching,
     _min_cover_size,
@@ -31,17 +32,20 @@ from balleans.ballean import (
 )
 from balleans.groups import FiniteAbelianGroup, all_subgroups, fag_log_distance
 from balleans.lattices import ExtNat
-from balleans.suites import random_ballean
+from balleans.suites import exp_power_inclusion_holds, random_ballean
 
 from oracles import (
-    ball_closure_by_unions,
+    cellularization_by_unions,
     closure,
+    components_by_search,
     element_count_mu,
     exp_hyperballean_reference,
+    exp_power_inclusion_by_sets,
     max_matching_brute,
     min_cover_brute,
     min_cover_search,
     mu_two_points_elementary,
+    validate_by_sets,
 )
 
 # the mu pair shapes of perfbench's finite-cover workload: (orders, |Y|, |Z|)
@@ -129,17 +133,93 @@ class TestBallsAndCellularization:
         assert is_cellular(c)
 
     def test_cellularization_matches_unions_on_arbitrary_tables(self):
-        # balls may miss their centre or be asymmetric, but stay in the support
+        # every reader of the mask view against its set route in
+        # tests/oracles.py, on tables where no axiom need hold: balls may miss
+        # their centre, be asymmetric, name points outside the support, or be
+        # missing. Where a set route raises, the mask route raises alike.
+        routes = {"validate": (validate_ballean, validate_by_sets),
+                  "cellularization": (lambda b: cellularization(b).balls,
+                                      cellularization_by_unions),
+                  "is_cellular": (is_cellular,
+                                  lambda b: cellularization_by_unions(b) == b.balls),
+                  "components": (connected_components, components_by_search)}
         rng = random.Random(11)
-        for _ in range(200):
-            support = tuple(range(rng.randint(1, 7)))
-            radii = ("r", "s")
-            table = {(x, a): frozenset(rng.sample(support, rng.randint(0, len(support))))
-                     for x in support for a in radii}
-            b = ExplicitBallean(support, radii, table)
-            assert cellularization(b).balls == {
-                (x, a): ball_closure_by_unions(b, x, a)
-                for x in support for a in radii}
+        seen = set()
+        for trial in range(600):
+            b, stray = _arbitrary_table(rng, trial)
+            for name, (route, reference) in routes.items():
+                want = _outcome(reference, b)
+                assert _outcome(route, b) == want, (trial, name, b)
+                if isinstance(want, BalleanValidation):
+                    got = validate_ballean(b)
+                    assert got.describe() == want.describe(), trial
+                    assert got.to_json() == want.to_json(), trial
+                    want = want.describe().split()[0]
+                seen.add((name, want if isinstance(want, (bool, str)) else "value"))
+            max_n = rng.randint(1, 3)
+            want = _outcome(exp_power_inclusion_by_sets, b, max_n)
+            got = _outcome(exp_power_inclusion_holds, b, max_n)
+            if got != want:
+                # the mask route refuses a point outside the support from
+                # max_n = 2 on, also where the set route never expands it
+                assert stray and max_n > 1 and got == _UNKNOWN, (trial, b)
+                want = "stricter"
+            seen.add(("power", want))
+        assert seen == {
+            ("validate", _UNKNOWN), ("validate", "containment"),
+            ("validate", "symmetry"), ("validate", "no"), ("validate", "valid"),
+            ("cellularization", _UNKNOWN), ("cellularization", "value"),
+            ("is_cellular", _UNKNOWN), ("is_cellular", True), ("is_cellular", False),
+            ("components", _UNKNOWN), ("components", "value"),
+            ("power", True), ("power", _UNKNOWN), ("power", "stricter")}
+
+
+_UNKNOWN = "ValueError: unknown point or radius"
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _arbitrary_table(rng, trial):
+    """A ball table of up to 7 points with no axiom guaranteed, and whether
+    a ball names a point outside the support. Every other table starts from
+    a reflexive symmetric relation so that symmetry and multiplicativity are
+    reached; then a ball may lose its centre, gain a one-way edge or a
+    point outside the support, or its key may be dropped."""
+    support = list(range(rng.randint(1, 7)))
+    if trial % 3 == 0:
+        support = [f"p{x}" for x in support]
+    radii = [f"r{j}" for j in range(rng.randint(1, 3))]
+    table = {}
+    for a in radii:
+        if trial % 2:
+            table.update({(x, a): set(rng.sample(support, rng.randint(0, len(support))))
+                          for x in support})
+            continue
+        rel = {x: {x} for x in support}
+        for _ in range(rng.randint(0, len(support))):
+            x, y = rng.choice(support), rng.choice(support)
+            rel[x].add(y)
+            rel[y].add(x)
+        table.update({(x, a): rel[x] for x in support})
+    for _ in range(rng.choice([0, 0, 0, 1, 2]) if len(table) > 1 else 0):
+        x, a = rng.choice(list(table))
+        change = rng.randrange(4)
+        if change == 0:
+            table[(x, a)].discard(x)
+        elif change == 1:
+            table[(x, a)].add(rng.choice(support))
+        elif change == 2:
+            table[(x, a)].add(rng.choice(["stray", 99, (0, 1)]))
+        else:
+            table.pop((x, a), None)
+    stray = any(y not in support for ball in table.values() for y in ball)
+    return ExplicitBallean(tuple(support), tuple(radii),
+                           {k: frozenset(v) for k, v in table.items()}), stray
 
 
 class TestComponents:
@@ -154,6 +234,12 @@ class TestComponents:
         assert comps == [2, 3]
         assert len(cop.support) == 5
         assert validate_ballean(cop).ok
+
+    def test_point_outside_the_support_refused(self):
+        b = ExplicitBallean.from_table([0, 1], ["r"], {(0, "r"): {0, 5}})
+        for reader in (connected_components, validate_ballean, cellularization):
+            with pytest.raises(ValueError, match="^unknown point or radius$"):
+                reader(b)
 
 
 class TestProductCoproduct:
@@ -613,6 +699,22 @@ class TestJson:
         b = ExplicitBallean.from_table([0, 1], ["r"], {(1, "r"): {0, 1}})
         assert b.ball(0, "r") == frozenset({0})
         assert b.ball(1, "r") == frozenset({0, 1})
+
+    def test_repeated_points_radii_and_ball_entries_refused(self):
+        with pytest.raises(ValueError, match="^repeated point: 0$"):
+            ExplicitBallean.from_table([0, 0, 1], ["r"], {})
+        with pytest.raises(ValueError, match="^repeated radius: 'r'$"):
+            discrete_ballean(["x", "y"], radii=["r", "s", "r"])
+        with pytest.raises(ValueError, match=r"^repeated point: \(1, 2\)$"):
+            ExplicitBallean(((1, 2), 0, (1, 2)), ("r",), {})
+        data = discrete_ballean([0, 1]).to_json()
+        data["balls"].append([0, "*", [0]])
+        with pytest.raises(ValueError, match=r"^repeated ball entry: \(0, '\*'\)$"):
+            ExplicitBallean.from_json(data)
+        data = discrete_ballean([0, 1]).to_json()
+        data["support"].append(1)
+        with pytest.raises(ValueError, match="^repeated point: 1$"):
+            ExplicitBallean.from_json(data)
 
     def test_invalid_rejected_on_load(self):
         bad = three_point().to_json()

@@ -184,21 +184,33 @@ class TestExpPowerInclusion:
     @pytest.mark.parametrize("keep", ["all", "outward", "inward"])
     def test_inflated_table_is_caught(self, monkeypatch, keep):
         # the law holds for every table exp_hyperballean_of returns, so make
-        # it return a larger one: every subset, or only the Z within B(Y)
-        # (which breaks the half Y within B^n(Z)), or only the Z with Y
-        # within B(Z) (which breaks the half Z within B^n(Y))
-        real = suites.exp_hyperballean_of
+        # both routes read a larger one: every subset, or only the Z within
+        # B(Y) (which breaks the half Y within B^n(Z)), or only the Z with Y
+        # within B(Z) (which breaks the half Z within B^n(Y)). The set route
+        # reads exp_hyperballean_of, the mask route the exp ball bitsets of
+        # ballean._exp_tables.
+        real, real_tables = suites.exp_hyperballean_of, suites._exp_tables
+        kept = {"all": lambda z, y, inside: True,
+                "outward": lambda z, y, inside: inside(z, y),
+                "inward": lambda z, y, inside: inside(y, z)}[keep]
 
         def inflated(b):
             e = real(b)
             blown = {(y, a): b.set_ball(y, a) for y, a in e.balls}
-            kept = {"all": lambda z, y, a: True,
-                    "outward": lambda z, y, a: z <= blown[(y, a)],
-                    "inward": lambda z, y, a: y <= blown[(z, a)]}[keep]
             return ExplicitBallean(e.support, e.radii, {
-                (y, a): frozenset(z for z in e.support if kept(z, y, a))
+                (y, a): frozenset(z for z in e.support if kept(
+                    z, y, lambda u, v: u <= blown[(v, a)]))
                 for y, a in e.balls})
 
+        def inflated_tables(b):
+            subsets, radii = real_tables(b)
+            masks = range(1, len(subsets))
+            return subsets, ((rows, stray, blown, [
+                sum(1 << z for z in masks
+                    if kept(z, y, lambda u, v: not u & ~blown[v]))
+                for y in range(len(subsets))]) for rows, stray, blown, _ in radii)
+
+        monkeypatch.setattr(suites, "_exp_tables", inflated_tables)
         monkeypatch.setattr(suites, "exp_hyperballean_of", inflated)
         b = discrete_ballean(range(2))
         assert exp_power_inclusion_holds(b, 1) is False
