@@ -5,17 +5,19 @@ are exact at arbitrary size. No floating point is used anywhere in this module;
 index products like p1^m1 * ... * pn^mn overflow machine words quickly, which
 is why arbitrary precision is mandatory.
 
-`_hnf` is the only elimination. The left kernel is read off the HNF of
-[m | I] past m's columns (`skip`), as `lattices` reads off A ∩ B; integer
-solving (one kernel of [target; m]) and the Smith form (the HNF of rows and
-of columns in turn) follow. `abs_det` (Bareiss) is an independent route.
+`_extend`, which inserts rows into a reduced row HNF, is the only
+elimination: `row_hnf` extends an empty basis, and `lattices` extends
+canonical bases without eliminating them again. The left kernel is read off
+the HNF of [m | I], as `lattices` reads off A ∩ B; integer solving (one
+kernel of [target; m]) and the Smith form (the HNF of rows and of columns in
+turn) follow. `abs_det` (Bareiss) is an independent route.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 Matrix = Sequence[Sequence[int]]
 
@@ -23,75 +25,73 @@ Matrix = Sequence[Sequence[int]]
 def _as_rows(m: Matrix) -> list[list[int]]:
     """Copy into a list of lists, rejecting ragged or non-integer input."""
     rows = [list(r) for r in m]
-    if rows:
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged matrix")
-        # the exact-type test is the fast path; int subclasses but bool pass too
-        if not set(map(type, chain.from_iterable(rows))) <= {int} and any(
-                not isinstance(x, int) or isinstance(x, bool)
-                for x in chain.from_iterable(rows)):
-            raise ValueError("matrix entries must be integers")
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("ragged matrix")
+    # the exact-type test is the fast path; int subclasses but bool pass too
+    if not set(map(type, chain.from_iterable(rows))) <= {int} and any(
+            not isinstance(x, int) or isinstance(x, bool)
+            for x in chain.from_iterable(rows)):
+        raise ValueError("matrix entries must be integers")
     return rows
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+def _extend(h: list, rows: Iterable[Sequence[int]]) -> list:
+    """Extend h, a reduced row HNF, in place to that of h's rows and `rows`.
 
-
-def _hnf(h: list[list[int]], skip: int = 0) -> list[list[int]]:
-    """`row_hnf` of rows already checked by `_as_rows`; h is overwritten.
-
-    Only the HNF rows zero on the first `skip` columns are reduced and
-    returned: the HNF of the part of the row span that vanishes there.
+    Each row v walks h in pivot order (Kannan–Bachem 1979). Where v's entry
+    b meets a pivot a, v loses (b/a)·row if a | b; otherwise (row, v)
+    becomes (x·row + y·v, a'·v − b'·row), with a' = a/g, b' = b/g for
+    g = gcd(a, b) and x·a' + y·b' = 1. Where v leads left of the next pivot,
+    it becomes a new row. The rows an insertion changed are reduced against
+    the rows below them, which keeps entries small; a last pass does the rest.
     """
-    n = len(h)
-    cols: list[int] = []  # the pivot column of each echelon row
-    split = n  # the first echelon row with its pivot at or past skip
-    for col in range(len(h[0]) if h else 0):
-        rank = len(cols)
-        if col == skip:
-            split = rank
-        piv = next((i for i in range(rank, n) if h[i][col]), None)
-        if piv is None:
-            continue
-        rp = h[piv]
-        h[piv] = h[rank]
-        for i in range(rank + 1, n):
-            ri = h[i]
-            b = ri[col]
-            if not b:
+    cols = [r.index(next(filter(None, r))) for r in h]  # pivot columns
+    for v in rows:
+        w = len(v)
+        lead = 0
+        while lead < w and not v[lead]:
+            lead += 1
+        changed = []
+        for i, c in enumerate(cols):
+            if c > lead:  # v leads left of this pivot
+                break
+            if c < lead:
                 continue
-            a = rp[col]
-            if b % a == 0:
+            row = h[i]
+            a, b = row[c], v[c]
+            if b % a:
+                g = math.gcd(a, b)
+                a, b = a // g, b // g
+                x = pow(a, -1, abs(b))
+                y = (1 - x * a) // b
+                h[i] = [x * s + y * t for s, t in zip(row, v)]
+                v = [a * t - b * s for s, t in zip(row, v)]
+                changed.append(i)
+            else:
                 q = b // a
-                h[i] = [v - q * u for u, v in zip(rp, ri)]
-                continue
-            g, x, y = _xgcd(a, b)
-            ag, bg = a // g, b // g
-            rp, h[i] = ([x * u + y * v for u, v in zip(rp, ri)],
-                        [ag * v - bg * u for u, v in zip(rp, ri)])
-        h[rank] = rp if rp[col] > 0 else [-u for u in rp]
-        cols.append(col)
-    for r in range(split, len(cols)):  # reduce the entries above each pivot
-        row = h[r]
-        c = cols[r]
-        for i in range(split, r):
-            q = h[i][c] // row[c]
+                v = [t - q * s for s, t in zip(row, v)]
+            while lead < w and not v[lead]:
+                lead += 1
+        else:
+            i = len(cols)
+        if lead < w:
+            h.insert(i, v if v[lead] > 0 else [-t for t in v])
+            cols.insert(i, lead)
+            changed.append(i)
+        _reduce(h, cols, reversed(changed))
+    _reduce(h, cols, range(len(h) - 2, -1, -1))
+    return h
+
+
+def _reduce(h: list, cols: list[int], ks: Iterable[int]) -> None:
+    """Reduce rows ks of h, in turn, above the pivots of the rows below."""
+    for k in ks:
+        row = h[k]
+        for j in range(k + 1, len(h)):
+            q = row[cols[j]] // h[j][cols[j]]
             if q:
-                h[i] = [t - q * u for t, u in zip(h[i], row)]
-    return h[split:len(cols)]
+                row = [s - q * t for s, t in zip(row, h[j])]
+        h[k] = row
 
 
 def row_hnf(m: Matrix) -> list[list[int]]:
@@ -102,19 +102,19 @@ def row_hnf(m: Matrix) -> list[list[int]]:
     integers iff their HNFs are identical, so lattice equality becomes
     bit-equality on the output.
     """
-    return _hnf(_as_rows(m))
+    return _extend([], _as_rows(m))
 
 
 def left_kernel(m: Matrix) -> list[list[int]]:
     """Canonical basis of the integer left kernel {u : u * m = 0}.
 
-    [m | I] spans {(u * m, u)}, so its HNF rows past m's columns, cut there,
-    are the canonical basis of {u : u * m = 0}.
+    [m | I] spans {(u * m, u)}, so its HNF rows that are zero on m's
+    columns, cut there, are the canonical basis of {u : u * m = 0}.
     """
     rows = _as_rows(m)
     ncols = len(rows[0]) if rows else 0
     aug = [r + [int(i == j) for j in range(len(rows))] for i, r in enumerate(rows)]
-    return [r[ncols:] for r in _hnf(aug, ncols)]
+    return [r[ncols:] for r in _extend([], aug) if not any(r[:ncols])]
 
 
 def divisibility_chain(ds: Sequence[int]) -> list[int]:
@@ -145,9 +145,9 @@ def snf(m: Matrix) -> list[int]:
     """
     h = _as_rows(m)
     size = min(len(h), len(h[0]) if h else 0)
-    h = _hnf(h)
+    h = _extend([], h)
     while any(len(r) - r.count(0) != 1 for r in h):
-        h = _hnf([list(col) for col in zip(*h)])
+        h = _extend([], [list(col) for col in zip(*h)])
     pivots = divisibility_chain(sum(r) for r in h)  # one nonzero per row
     return pivots + [0] * (size - len(pivots))
 

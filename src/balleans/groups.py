@@ -16,13 +16,12 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .exactmat import divisibility_chain
+from .exactmat import _extend, divisibility_chain
 from .lattices import (
     ExtNat,
     INFINITE,
     Lattice,
     full_lattice,
-    lattice_from_generators,
     log_subgroup_distance,
     member,
     pivot_product,
@@ -64,10 +63,7 @@ class FiniteAbelianGroup:
 
     @property
     def order(self) -> int:
-        n = 1
-        for m in self.invariant_factors:
-            n *= m
-        return n
+        return math.prod(self.invariant_factors)
 
     @property
     def exponent(self) -> int:
@@ -130,13 +126,13 @@ class FAGSubgroup:
     @classmethod
     def from_elements(cls, parent: FiniteAbelianGroup,
                       gens: Iterable[Union[int, Sequence[int]]]) -> "FAGSubgroup":
-        """The subgroup generated by gens; the diag(m) rows are among the
-        lift's generators, so its containment holds by construction."""
+        """The subgroup generated by gens: diag(m), already a reduced row
+        HNF, extended by the normalized gens, so the lift contains
+        diag(m)·Z^k by construction."""
         ms = parent.invariant_factors
-        rows = [list(parent.normalize(g)) for g in gens]
-        for i, m in enumerate(ms):
-            rows.append([m if j == i else 0 for j in range(len(ms))])
-        return cls._canonical(parent, lattice_from_generators(len(ms), rows))
+        diag = [[m if j == i else 0 for j in range(len(ms))] for i, m in enumerate(ms)]
+        h = _extend(diag, [parent.normalize(g) for g in gens])
+        return cls._canonical(parent, Lattice(len(ms), tuple(map(tuple, h))))
 
     @classmethod
     def trivial(cls, parent: FiniteAbelianGroup) -> "FAGSubgroup":

@@ -146,23 +146,24 @@ def member(x: Sequence[int], lat: Lattice) -> bool:
 
 
 def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
-    """A + B: one HNF of the stacked canonical bases."""
+    """A + B: A's canonical basis extended by B's rows."""
     _check_same_ambient(a, b)
-    h = exactmat._hnf([list(r) for r in a.basis + b.basis])
+    h = exactmat._extend(list(a.basis), b.basis)
     return Lattice(a.ambient, tuple(map(tuple, h)))
 
 
 def lattice_intersection(a: Lattice, b: Lattice) -> Lattice:
-    """A ∩ B: one HNF of the rows [x | x] (x in A) and [y | 0] (y in B).
+    """A ∩ B: the rows [x | x] (x in A), already a reduced HNF with A's
+    pivots, extended by the rows [y | 0] (y in B).
 
     Their row span is {(x + y, x) : x in A, y in B}, and its part that is
     zero on the first n columns is {(0, x) : x in A ∩ B} (Zassenhaus). So the
-    HNF rows past column n, cut there, are the canonical basis of A ∩ B.
+    HNF rows zero there, cut at column n, are the canonical basis of A ∩ B.
     """
     _check_same_ambient(a, b)
     n = a.ambient
-    rows = [list(x + x) for x in a.basis] + [list(y) + [0] * n for y in b.basis]
-    return Lattice(n, tuple(tuple(r[n:]) for r in exactmat._hnf(rows, n)))
+    h = exactmat._extend([x + x for x in a.basis], [y + (0,) * n for y in b.basis])
+    return Lattice(n, tuple(tuple(r[n:]) for r in h if not any(r[:n])))
 
 
 def index_in(a: Lattice, b: Lattice) -> ExtNat:

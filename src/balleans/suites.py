@@ -31,6 +31,7 @@ from .witnesses import (
     PrimeTuple,
     TaxiPoint,
     VerificationReport,
+    _check_quasi_isometry,
     _coordinate_subgroup,
     cyclic_subgroup_tree,
     dlog_closed_form,
@@ -39,7 +40,6 @@ from .witnesses import (
     iota,
     lz_exp_ball,
     taxi_distance,
-    verify_iota_quasi_isometry,
 )
 
 
@@ -103,21 +103,21 @@ def suite_iota(primes: Sequence[int] = (2, 3), max_coord: int = 6,
     of the exponent tuples, plus the quasi-isometry inequalities."""
     pt = PrimeTuple(tuple(primes))
     rng = random.Random(seed)
-    n = pt.n
     violations = []
-    grid = _taxi_grid(n, max_coord)
+    grid = _taxi_grid(pt.n, max_coord)
     pairs = (list(itertools.combinations(grid, 2))
              if len(grid) ** 2 <= 2 * samples
              else [(rng.choice(grid), rng.choice(grid)) for _ in range(samples)])
     image = {m: iota(pt, m) for m in grid}
+    qi = []
+    max_ratio = 0.0
     for m, mp in pairs:
         closed = dlog_closed_form(pt, m, mp)
         if closed != log_subgroup_distance(image[m], image[mp]):
             violations.append(("closed-form", m.coords, mp.coords))
-    qi = verify_iota_quasi_isometry(pt, pairs)
-    report = VerificationReport("iota-embedding", len(pairs),
-                                tuple(violations) + qi.violations, qi.max_ratio)
-    return report
+        max_ratio = max(max_ratio, _check_quasi_isometry(pt, m, mp, closed, qi))
+    return VerificationReport("iota-embedding", len(pairs),
+                              tuple(violations + qi), max_ratio)
 
 
 def suite_hamming(n: int = 2, max_coord: int = 6) -> VerificationReport:

@@ -65,9 +65,7 @@ def iota(pt: PrimeTuple, m: TaxiPoint) -> Lattice:
     """The subgroup (p1^m1 * ... * pn^mn) Z of Z."""
     if len(m.coords) != pt.n:
         raise ValueError("coordinate count does not match the prime tuple")
-    k = 1
-    for p, e in zip(pt.primes, m.coords):
-        k *= p ** e
+    k = math.prod(p ** e for p, e in zip(pt.primes, m.coords))
     return lattice_from_generators(1, [[k]])
 
 
@@ -127,22 +125,26 @@ def verify_iota_quasi_isometry(pt: PrimeTuple,
     t * log(b) <= n * log(mu') are checked in their exponentiated integer
     forms mu' <= P^t and b^t <= mu'^n — no floating point is involved.
     """
-    pmax = pt.primes[-1]
-    pmin = pt.primes[0]
     violations = []
     max_ratio = 0.0
     for m, mp in samples:
-        mu = dlog_closed_form(pt, m, mp)
-        t = taxi_distance(m, mp)
-        assert mu.is_finite
-        if mu.value > pmax ** t:
-            violations.append(("upper", m.coords, mp.coords))
-        if pmin ** t > mu.value ** pt.n:
-            violations.append(("lower", m.coords, mp.coords))
-        if t:
-            max_ratio = max(max_ratio, mu.log() / (t * math.log(pmin)))
+        ratio = _check_quasi_isometry(pt, m, mp, dlog_closed_form(pt, m, mp), violations)
+        max_ratio = max(max_ratio, ratio)
     return VerificationReport("iota-quasi-isometry", len(samples),
                               tuple(violations), max_ratio)
+
+
+def _check_quasi_isometry(pt: PrimeTuple, m: TaxiPoint, mp: TaxiPoint,
+                          mu: ExtNat, violations: list) -> float:
+    """Append the pair's violations, given its distance mu, to violations;
+    return log(mu') / (t * log(b)), or 0 when t = 0."""
+    t = taxi_distance(m, mp)
+    assert mu.is_finite
+    if mu.value > pt.primes[-1] ** t:
+        violations.append(("upper", m.coords, mp.coords))
+    if pt.primes[0] ** t > mu.value ** pt.n:
+        violations.append(("lower", m.coords, mp.coords))
+    return mu.log() / (t * math.log(pt.primes[0])) if t else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,69 @@ def reduce_mod(x, hermite_basis):
     return x
 
 
+def hnf_by_echelon(rows, skip: int = 0) -> list[list[int]]:
+    """The package's former row HNF: a column echelon pass (extended-gcd
+    row pairs), then one pass reducing the entries above each pivot.
+
+    Only the HNF rows zero on the first `skip` columns are reduced and
+    returned: the HNF of the part of the row span that vanishes there.
+    Nothing is reduced before the end, so entries can grow steeply with size.
+    """
+    h = [list(r) for r in rows]
+    n = len(h)
+    cols: list[int] = []  # the pivot column of each echelon row
+    split = n  # the first echelon row with its pivot at or past skip
+    for col in range(len(h[0]) if h else 0):
+        rank = len(cols)
+        if col == skip:
+            split = rank
+        piv = next((i for i in range(rank, n) if h[i][col]), None)
+        if piv is None:
+            continue
+        rp = h[piv]
+        h[piv] = h[rank]
+        for i in range(rank + 1, n):
+            ri = h[i]
+            b = ri[col]
+            if not b:
+                continue
+            a = rp[col]
+            if b % a == 0:
+                q = b // a
+                h[i] = [v - q * u for u, v in zip(rp, ri)]
+                continue
+            g, x, y = _euclid(a, b)
+            ag, bg = a // g, b // g
+            rp, h[i] = ([x * u + y * v for u, v in zip(rp, ri)],
+                        [ag * v - bg * u for u, v in zip(rp, ri)])
+        h[rank] = rp if rp[col] > 0 else [-u for u in rp]
+        cols.append(col)
+    for r in range(split, len(cols)):  # reduce the entries above each pivot
+        row = h[r]
+        c = cols[r]
+        for i in range(split, r):
+            q = h[i][c] // row[c]
+            if q:
+                h[i] = [t - q * u for t, u in zip(h[i], row)]
+    return h[split:len(cols)]
+
+
+def _euclid(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g, by the extended
+    Euclidean algorithm."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
 def oracle_mu_prime(a_gens, b_gens):
     """max(|A : A∩B|, |B : A∩B|) or None for non-commensurable, computed by
     counting residues of one lattice modulo the other.

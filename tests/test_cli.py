@@ -1,5 +1,7 @@
 import json
 import pathlib
+import random
+import time
 
 import pytest
 
@@ -106,6 +108,17 @@ class TestOtherCommands:
         code, out = run_json(capsys, ["saturate", "--group", "Z^2",
                                       "--sub", "span[(2,4)]"])
         assert code == 0 and out["saturation"] == "span[(1,2)]"
+
+    def test_saturate_31x32_in_seconds(self, capsys):
+        # this span took 32 s while HNF entries were reduced only at the end
+        rng = random.Random(3)
+        rows = [[rng.randint(-99, 99) for _ in range(32)] for _ in range(31)]
+        span = "span[" + ",".join(f"({','.join(map(str, r))})" for r in rows) + "]"
+        t0 = time.perf_counter()
+        code, out = run_json(capsys, ["saturate", "--group", "Z^32", "--sub", span])
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 0
+        assert parse_subgroup(out["saturation"], 32).rank == 31
 
     def test_profile(self, capsys, tmp_path):
         desc = {"free_rank": 0,

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from balleans import exactmat
-from balleans.lattices import lattice_from_generators, saturation
-from oracles import frac_det, frac_rank, in_integer_span, smith_invariants
+from balleans.groups import FAGSubgroup, FiniteAbelianGroup
+from balleans.lattices import (Lattice, lattice_from_generators, lattice_intersection,
+                               lattice_sum, member, saturation)
+from oracles import frac_det, frac_rank, hnf_by_echelon, in_integer_span, smith_invariants
 
 
 def rand_matrix(rng, rows, cols, lim=9):
@@ -43,6 +45,31 @@ def rand_smith_case(rng):
     else:
         m = rand_matrix(rng, r, c, 99)
     return m
+
+
+def rand_echelon_case(rng):
+    """Up to 9x9, zero width and zero rows included, entries bounded by one
+    of 1, 2, 5, 20 or 99; in about a third the last row is a combination of
+    two others, and in another third every row carries a common factor."""
+    r, c = rng.randint(0, 9), rng.randint(0, 9)
+    m = rand_matrix(rng, r, c, rng.choice((1, 2, 5, 20, 99)))
+    kind = rng.randrange(3)
+    if kind == 0 and r > 2:
+        f = rng.choice((-2, -1, 1, 3))
+        m[-1] = [x + f * y for x, y in zip(m[0], m[1])]
+    elif kind == 1:
+        f = rng.choice((2, 3, 6))
+        m = [[f * x for x in row] for row in m]
+    return m
+
+
+def check_reduced(h):
+    """Row echelon, positive pivots, entries above each pivot in [0, pivot)."""
+    cols = [next(j for j, x in enumerate(r) if x) for r in h]
+    assert cols == sorted(set(cols))
+    for i, (row, c) in enumerate(zip(h, cols)):
+        assert row[c] > 0
+        assert all(0 <= above[c] < row[c] for above in h[:i])
 
 
 class TestRowHnf:
@@ -109,6 +136,58 @@ class TestRowHnf:
             exactmat.row_hnf([[True, False]])
 
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_24x24_stays_fast(self, seed):
+        # seed 3 took 30 s while entries were reduced only at the end
+        m = rand_matrix(random.Random(seed), 24, 24, 99)
+        t0 = time.perf_counter()
+        h = exactmat.row_hnf(m)
+        assert time.perf_counter() - t0 < 1.0
+        # full rank: a reduced HNF holding every row, with the rows' index
+        # |det m| as its pivot product, is the HNF of their span
+        det = exactmat.abs_det(m)
+        assert det and math.prod(r[i] for i, r in enumerate(h)) == det
+        lat = Lattice(24, tuple(map(tuple, h)))
+        assert all(member(r, lat) for r in m)
+        check_reduced(h)
+
+
+class TestAgainstEchelonOracle:
+    """Every elimination route equals the former echelon-then-reduce HNF."""
+
+    def test_routes_equal_echelon_then_reduce(self):
+        rng = random.Random(14)
+        for _ in range(2000):
+            m = rand_echelon_case(rng)
+            c = len(m[0]) if m else rng.randint(0, 9)
+            h = exactmat.row_hnf(m)
+            assert h == hnf_by_echelon(m), m
+            for skip in range(c + 1):  # the rows zero on the first skip columns
+                assert [r for r in h if not any(r[:skip])] == hnf_by_echelon(m, skip)
+            aug = [r + [int(i == j) for j in range(len(m))] for i, r in enumerate(m)]
+            assert exactmat.left_kernel(m) == [r[c:] for r in hnf_by_echelon(aug, c)]
+            k = rng.randint(0, len(m))
+            assert exactmat._extend(hnf_by_echelon(m[:k]), m[k:]) == h
+            a, b = lattice_from_generators(c, m[:k]), lattice_from_generators(c, m[k:])
+            want = hnf_by_echelon(a.basis + b.basis)
+            assert lattice_sum(a, b).basis == tuple(map(tuple, want))
+            zassenhaus = [x + x for x in a.basis] + [y + (0,) * c for y in b.basis]
+            want = [tuple(r[c:]) for r in hnf_by_echelon(zassenhaus, c)]
+            assert lattice_intersection(a, b).basis == tuple(want)
+
+    def test_lifts_equal_echelon_then_reduce(self):
+        rng = random.Random(15)
+        for _ in range(1000):
+            parent = FiniteAbelianGroup.from_orders(
+                [rng.choice((1, 2, 3, 4, 6, 12, 25)) for _ in range(rng.randint(0, 5))])
+            ms = parent.invariant_factors
+            gens = [tuple(rng.randrange(-99, 100) for _ in ms)
+                    for _ in range(rng.randint(0, 4))]
+            diag = [[m if j == i else 0 for j in range(len(ms))] for i, m in enumerate(ms)]
+            want = hnf_by_echelon([list(parent.normalize(g)) for g in gens] + diag)
+            assert FAGSubgroup.from_elements(parent, gens).lift.basis == tuple(map(tuple, want))
+
+
 class TestLeftKernel:
     @given(wide_matrices)
     @settings(max_examples=80, deadline=None)
@@ -124,6 +203,18 @@ class TestLeftKernel:
         assert exactmat.row_hnf(k) == k
         lat = lattice_from_generators(len(m), k)
         assert saturation(lat) == lat
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_31x32_saturation_stays_fast(self, seed):
+        # seed 3 took 25 s while the kernel's transform block grew unreduced
+        m = rand_matrix(random.Random(seed), 31, 32, 99)
+        t0 = time.perf_counter()
+        sat = saturation(lattice_from_generators(32, m))
+        assert time.perf_counter() - t0 < 1.0
+        # holding every row, of the rows' rank, and pure: that is sat(H)
+        assert all(member(r, sat) for r in m)
+        assert sat.rank == frac_rank(m)
+        assert exactmat.snf(sat.basis) == [1] * sat.rank
 
     def test_kernel_is_saturated(self):
         # a scaled kernel vector with unit content must itself be in the kernel
