@@ -33,8 +33,11 @@ class ExplicitBallean:
 
     Construction refuses repeated points or radii; from_table also
     normalizes the table (and refuses a ball whose key is not in support x
-    radii). Axiom checking is the separate validate_ballean so that
-    deliberately broken instances can be built and reported on.
+    radii). In a ball structure the keys are exactly support x radii and
+    each ball lies inside the support; _ball_masks refuses any other table
+    for every reader of the mask view. Axiom checking is the separate
+    validate_ballean so that deliberately broken instances can be built
+    and reported on.
     """
 
     support: tuple[Point, ...]
@@ -191,32 +194,27 @@ class BalleanValidation:
         return out
 
 
-def _ball_masks(b: ExplicitBallean) -> list[tuple[list[int], list[int], int]]:
-    """Per radius a, the table as masks over the (distinct) support positions:
-    rows[j] is B(x_j, a), inv[i] the j with x_i in B(x_j, a), and stray the j
-    whose ball names a point outside the support."""
-    index = {x: i for i, x in enumerate(b.support)}
-    out = []
-    for a in b.radii:
-        rows, inv, stray = [0] * len(b.support), [0] * len(b.support), 0
-        for j, x in enumerate(b.support):
-            for y in b.ball(x, a):
-                i = index.get(y)
-                if i is None:
-                    stray |= 1 << j
-                else:
-                    rows[j] |= 1 << i
-                    inv[i] |= 1 << j
-        out.append((rows, inv, stray))
-    return out
-
-
-def _support_rows(b: ExplicitBallean) -> list[list[int]]:
-    """Every radius's rows, raising where a ball names a point outside the support."""
-    views = _ball_masks(b)
-    if any(stray for _, _, stray in views):
+def _ball_masks(b: ExplicitBallean) -> list[list[int]]:
+    """Per radius a, the rows of the table over the (distinct) support
+    positions: rows[j] is B(x_j, a). Every reader of a table goes through
+    here, so this is where its shape is judged: the keys must be exactly
+    support x radii and every ball must lie inside the support."""
+    if len(b.balls) != len(b.support) * len(b.radii):
         raise ValueError("unknown point or radius")
-    return [rows for rows, _, _ in views]
+    bit = {x: 1 << i for i, x in enumerate(b.support)}
+    try:
+        return [[sum(map(bit.__getitem__, b.balls[(x, a)])) for x in b.support]
+                for a in b.radii]
+    except KeyError:
+        raise ValueError("unknown point or radius") from None
+
+
+def _transpose(rows: list[int]) -> list[int]:
+    """inv[i], the mask of the j with bit i set in rows[j]: column i of the
+    rows written as binary digits, last row first, read back as one int."""
+    width = f"0{len(rows)}b"
+    columns = zip(*(format(r, width) for r in reversed(rows)))
+    return [int("".join(c), 2) for c in columns][::-1]
 
 
 def _union(rows: list[int], m: int) -> int:
@@ -246,26 +244,27 @@ def validate_ballean(b: ExplicitBallean) -> BalleanValidation:
 
     Multiplicativity demands, for each radius pair (a, b), a single radius g
     with B(B(x,a),b) subset of B(x,g) simultaneously for every x. The first
-    violation in table order is reported: only an x whose mask row differs
-    from its transpose, or names a stray point, is walked to name y.
+    violation is reported: containment in support and then radius order,
+    symmetry in radius and then support order, with y the first point of
+    the support in B(x, a) whose ball misses x. A table that is not a ball
+    structure raises ValueError("unknown point or radius"), as in _ball_masks.
     """
-    for x in b.support:
-        for a in b.radii:
-            if x not in b.ball(x, a):
-                return BalleanValidation(False, containment_violation=(x, a))
     views = _ball_masks(b)
-    for a, (rows, inv, stray) in zip(b.radii, views):
-        for j, x in enumerate(b.support):
-            if rows[j] & ~inv[j] or stray >> j & 1:
-                for y in b.ball(x, a):
-                    if x not in b.ball(y, a):
-                        return BalleanValidation(False, symmetry_violation=(x, y, a))
-    for a, (rows_a, _, _) in zip(b.radii, views):
-        for c, (rows_c, _, _) in zip(b.radii, views):
+    for j, x in enumerate(b.support):
+        for a, rows in zip(b.radii, views):
+            if not rows[j] >> j & 1:
+                return BalleanValidation(False, containment_violation=(x, a))
+    for a, rows in zip(b.radii, views):
+        for x, r, t in zip(b.support, rows, _transpose(rows)):
+            if d := r & ~t:
+                y = b.support[(d & -d).bit_length() - 1]
+                return BalleanValidation(False, symmetry_violation=(x, y, a))
+    for a, rows_a in zip(b.radii, views):
+        for c, rows_c in zip(b.radii, views):
             union = {r: _union(rows_c, r) for r in set(rows_a)}
             composed = [union[r] for r in rows_a]
             if not any(all(not u & ~g for u, g in zip(composed, rows_g))
-                       for rows_g, _, _ in views):
+                       for rows_g in views):
                 worst = max(zip(composed, b.support), key=lambda t: t[0].bit_count())[1]
                 return BalleanValidation(
                     False, multiplicativity_violation=(a, c, worst))
@@ -276,8 +275,8 @@ def ball_iterate(b: ExplicitBallean, x: Point, a: Radius, n: int) -> frozenset:
     """The n-fold composition B(B(...B(x,a)...,a),a)."""
     if n < 0:
         raise ValueError("iteration count must be >= 0")
-    if x not in b.support:
-        raise ValueError("unknown point")
+    if x not in b.support or a not in b.radii:
+        raise ValueError("unknown point or radius")
     cur = frozenset({x})
     for _ in range(n):
         cur = b.set_ball(cur, a)
@@ -298,21 +297,20 @@ def _closures(rows: list[int]) -> list[int]:
 def cellularization(b: ExplicitBallean) -> ExplicitBallean:
     """Replace each ball with its transitive closure; idempotent."""
     members = _MaskSets(b.support)
-    table = {(x, a): members[m] for a, rows in zip(b.radii, _support_rows(b))
+    table = {(x, a): members[m] for a, rows in zip(b.radii, _ball_masks(b))
              for x, m in zip(b.support, _closures(rows))}
     return ExplicitBallean(b.support, b.radii, table)
 
 
 def is_cellular(b: ExplicitBallean) -> bool:
-    return (all(_closures(rows) == rows for rows in _support_rows(b))
-            and len(b.balls) == len(b.support) * len(b.radii))
+    return all(_closures(rows) == rows for rows in _ball_masks(b))
 
 
 def connected_components(b: ExplicitBallean) -> list[frozenset]:
     """Partition of the support under reachability through any ball: each
     point not yet seen, in support order, starts one component."""
     adj = [0] * len(b.support)
-    for rows in _support_rows(b):
+    for rows in _ball_masks(b):
         adj = [u | r for u, r in zip(adj, rows)]
     members = _MaskSets(b.support)
     seen, out = 0, []
@@ -371,13 +369,13 @@ def coproduct_ballean(bs: Sequence[ExplicitBallean]) -> ExplicitBallean:
     return ExplicitBallean(tuple(support), tuple(radii), table)
 
 
-def _exp_balls(rows: list[int], inv: list[int], subsets: list[int]
-               ) -> tuple[list[int], list[int]]:
+def _exp_balls(rows: list[int], subsets: list[int]) -> tuple[list[int], list[int]]:
     """blown[m], the mask of B(m), and balls[m] = subsets[blown[m]] & covers[m],
     the bitset of exp B(m), per subset mask m. covers[Y] holds the Z meeting
-    inv[i] for each i in Y (Y inside B(Z)): covers[Y - low] & meets[i]."""
+    inv[i] = {j : i in B(x_j)} for each i in Y (Y inside B(Z)):
+    covers[Y - low] & meets[i]."""
     full = len(subsets) - 1
-    meets = [subsets[full] & ~subsets[full & ~v] for v in inv]
+    meets = [subsets[full] & ~subsets[full & ~v] for v in _transpose(rows)]
     blown, covers = [0] * (full + 1), [subsets[full]] * (full + 1)
     for m in range(1, full + 1):
         low = m & -m
@@ -387,10 +385,9 @@ def _exp_balls(rows: list[int], inv: list[int], subsets: list[int]
     return blown, [subsets[u] & c for u, c in zip(blown, covers)]
 
 
-def _exp_tables(b: ExplicitBallean) -> tuple[list[int], Iterable[tuple]]:
-    """subsets, where bit s of subsets[m] is set iff s <= m, and lazily per
-    radius (rows, stray, blown, balls); every radius's masks are built
-    first, so a missing key raises early."""
+def _exp_tables(b: ExplicitBallean) -> tuple[list[int], list[tuple]]:
+    """subsets, where bit s of subsets[m] is set iff s <= m, and per radius
+    (rows, blown, balls)."""
     n = len(b.support)
     if n > EXP_SUPPORT_LIMIT:
         raise ValueError(f"support has {n} points; exp enumeration allows "
@@ -399,15 +396,14 @@ def _exp_tables(b: ExplicitBallean) -> tuple[list[int], Iterable[tuple]]:
     for m in range(1, 1 << n):
         low = m & -m
         subsets[m] = subsets[m ^ low] | subsets[m ^ low] << low
-    return subsets, ((rows, stray, *_exp_balls(rows, inv, subsets))
-                     for rows, inv, stray in views)
+    return subsets, [(rows, *_exp_balls(rows, subsets)) for rows in views]
 
 
 def exp_hyperballean_of(b: ExplicitBallean) -> ExplicitBallean:
     """The hyperballean on all nonempty subsets: Z is within radius a of Y
     iff Z is inside B(Y,a) and Y is inside B(Z,a). Each ball is a bitset of
-    _exp_tables over the subset masks, one frozenset per distinct ball;
-    entries outside the support are ignored."""
+    _exp_tables over the subset masks, one frozenset per distinct ball; a
+    table that is not a ball structure raises, as in _ball_masks."""
     _, radii = _exp_tables(b)
     n = len(b.support)
     masks = [sum(1 << i for i in c) for size in range(1, n + 1)
@@ -417,8 +413,33 @@ def exp_hyperballean_of(b: ExplicitBallean) -> ExplicitBallean:
         subset_of[m] = subset_of[m & m - 1] | {b.support[(m & -m).bit_length() - 1]}
     members = _MaskSets(subset_of)  # a hit is one dict lookup, no Python call
     table = {(subset_of[y], a): members[balls[y]]
-             for a, (_, _, _, balls) in zip(b.radii, radii) for y in masks}
+             for a, (_, _, balls) in zip(b.radii, radii) for y in masks}
     return ExplicitBallean(tuple(subset_of[m] for m in masks), b.radii, table)
+
+
+def exp_power_inclusion_holds(b: ExplicitBallean, max_n: int = 4) -> bool:
+    """Iterated hyperballean balls stay inside the iterated-base description:
+    every Z reachable from Y in n exp-steps satisfies Z within B^n(Y) and Y
+    within B^n(Z).
+
+    On the bitsets of _exp_tables, reach[y] holds the subsets reached from
+    y in n exp steps and rows[j] is B^n({j}); the test is that reach[y]
+    lies in the exp ball of y in the table of B^n.
+    """
+    subsets, radii = _exp_tables(b)
+    for rows, blown, exp in radii:
+        image: dict = {}  # bitset X -> union of exp[z] over z in X
+        reach = {m: 1 << m for m in range(1, len(subsets))}
+        for _ in range(max_n):
+            _, within = _exp_balls(rows, subsets)
+            for y, x in reach.items():
+                if x not in image:
+                    image[x] = _union(exp, x)
+                reach[y] = image[x]
+                if image[x] & ~within[y]:
+                    return False
+            rows = [blown[r] for r in rows]  # B^(n+1)({j}) = B(B^n({j}))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +455,7 @@ class ZWindow:
     """
 
     half_width: int
+    zero = 0  # the identity, as FiniteAbelianGroup.zero (not a field)
 
     def __post_init__(self) -> None:
         if self.half_width < 0:
@@ -482,15 +504,9 @@ class FiniteSubset:
         return len(self.elements)
 
 
-def _identity(parent: Parent):
-    if isinstance(parent, ZWindow):
-        return 0
-    return parent.zero
-
-
 def symmetrize_radius(parent: Parent, radius: Iterable) -> frozenset:
     """F becomes F ∪ -F ∪ {e}, the canonical group-ball radius."""
-    out = {_identity(parent)}
+    out = {parent.zero}
     for g in radius:
         g = parent.normalize(g)
         out.add(g)
@@ -732,7 +748,7 @@ def mu_report(y: FiniteSubset, z: FiniteSubset) -> MuReport:
     if y.parent != z.parent:
         raise ValueError("subsets of different parents")
     parent = y.parent
-    e = _identity(parent)
+    e = parent.zero
     z_only = tuple(z.elements - y.elements)
     y_only = tuple(y.elements - z.elements)
     into_z = _translate_cover_masks(parent, y.elements, z_only)

@@ -70,7 +70,6 @@ class ExtNat:
 
 
 INFINITE = ExtNat.infinity()
-ONE = ExtNat.finite(1)
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,9 @@ from typing import Iterable, Optional, Sequence
 from .ballean import (
     ExplicitBallean,
     FiniteSubset,
-    _exp_balls,
-    _exp_tables,
-    _union,
     cellularization,
     exp_hyperballean_of,
+    exp_power_inclusion_holds,
     hamming_distance,
     is_cellular,
     mu_set_distance,
@@ -242,36 +240,6 @@ def suite_mu_index() -> VerificationReport:
                                    sorted(b.elements())))
     return VerificationReport("mu-equals-index-formula", count,
                               tuple(violations))
-
-
-def exp_power_inclusion_holds(b: ExplicitBallean, max_n: int = 4) -> bool:
-    """Iterated hyperballean balls stay inside the iterated-base description:
-    every Z reachable from Y in n exp-steps satisfies Z within B^n(Y) and Y
-    within B^n(Z).
-
-    On the masks and bitsets of `ballean._exp_tables`, reach[y] holds the
-    subsets reached from y in n exp steps and rows[j] is B^n({j}); the test
-    is that reach[y] lies in the exp ball of y in the table of B^n. From
-    max_n = 2 on, a ball naming a point outside the support raises.
-    """
-    subsets, radii = _exp_tables(b)
-    for rows, stray, blown, exp in radii:
-        if stray and max_n > 1:
-            raise ValueError("unknown point or radius")
-        image: dict = {}  # bitset X -> union of exp[z] over z in X
-        reach = {m: 1 << m for m in range(1, len(subsets))}
-        for _ in range(max_n):
-            inv = [sum(1 << j for j, r in enumerate(rows) if r >> i & 1)
-                   for i in range(len(rows))]
-            _, within = _exp_balls(rows, inv, subsets)
-            for y, x in reach.items():
-                if x not in image:
-                    image[x] = _union(exp, x)
-                reach[y] = image[x]
-                if image[x] & ~within[y]:
-                    return False
-            rows = [blown[r] for r in rows]  # B^(n+1)({j}) = B(B^n({j}))
-    return True
 
 
 def suite_cellular(count: int = 25, seed: int = 0, max_size: int = 5

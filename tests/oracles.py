@@ -321,11 +321,22 @@ def element_count_mu(parent, a_set, b_set) -> int:
 # explicit balleans and covers
 
 
+def require_ball_structure(b) -> None:
+    """Raise ValueError("unknown point or radius") unless the table is a
+    ball structure: one ball per (point, radius) of support x radii, and
+    every ball a subset of the support."""
+    support = frozenset(b.support)
+    if set(b.balls) != {(x, a) for x in support for a in b.radii} or not all(
+            ball <= support for ball in b.balls.values()):
+        raise ValueError("unknown point or radius")
+
+
 def exp_hyperballean_reference(b):
     """(support, radii, balls) of the exp-hyperballean on frozensets, from
     the definition: Z is in the ball of Y at a iff Z ⊆ B(Y, a) and
     Y ⊆ B(Z, a), over every nonempty subset, by size and then in
     combinations order."""
+    require_ball_structure(b)
     subsets = [frozenset(c)
                for size in range(1, len(b.support) + 1)
                for c in itertools.combinations(b.support, size)]
@@ -343,6 +354,7 @@ def cellularization_by_unions(b) -> dict:
     """The ball table of `ballean.cellularization(b)`: at (x, a), {x} and
     the points reached from it, as the fixpoint of Y -> Y ∪ B(Y, a) from
     {x}, one whole `set_ball` per step."""
+    require_ball_structure(b)
     table = {}
     for x in b.support:
         for a in b.radii:
@@ -355,17 +367,20 @@ def cellularization_by_unions(b) -> dict:
 
 def validate_by_sets(b):
     """The package's former `ballean.validate_ballean`: the three axioms
-    checked on the frozenset table, in support and then radius order."""
+    checked on the frozenset table, containment in support and then radius
+    order, symmetry in radius and then support order with y in support
+    order."""
     from balleans.ballean import BalleanValidation
 
+    require_ball_structure(b)
     for x in b.support:
         for a in b.radii:
             if x not in b.ball(x, a):
                 return BalleanValidation(False, containment_violation=(x, a))
     for a in b.radii:
         for x in b.support:
-            for y in b.ball(x, a):
-                if x not in b.ball(y, a):
+            for y in b.support:
+                if y in b.ball(x, a) and x not in b.ball(y, a):
                     return BalleanValidation(False, symmetry_violation=(x, y, a))
     for a in b.radii:
         for c in b.radii:
@@ -381,7 +396,8 @@ def validate_by_sets(b):
 def components_by_search(b) -> list:
     """The package's former `ballean.connected_components`: a depth-first
     search from each point not yet seen, through every radius's ball, in
-    support order; `b.ball` refuses a point outside the support."""
+    support order."""
+    require_ball_structure(b)
     seen, out = set(), []
     for x in b.support:
         if x not in seen:
@@ -397,12 +413,13 @@ def components_by_search(b) -> list:
 
 
 def exp_power_inclusion_by_sets(b, max_n: int = 4) -> bool:
-    """The package's former `suites.exp_power_inclusion_holds`: walk the exp
-    balls of `suites.exp_hyperballean_of(b)` as frozensets and compare every
+    """The package's former `exp_power_inclusion_holds`: walk the exp balls
+    of `ballean.exp_hyperballean_of(b)` as frozensets and compare every
     reached Z with B^n(Y), and Y with B^n(Z), by repeated `set_ball`."""
-    from balleans import suites
+    from balleans import ballean
 
-    expb = suites.exp_hyperballean_of(b)
+    require_ball_structure(b)
+    expb = ballean.exp_hyperballean_of(b)
     for a in b.radii:
         blown = {}  # (subset, n) -> n-fold base ball
         for y in expb.support:

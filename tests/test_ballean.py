@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,7 @@ from balleans.ballean import (
     exp_ball_enumerate_centered_identity,
     exp_ball_membership,
     exp_hyperballean_of,
+    exp_power_inclusion_holds,
     g_exp_ball,
     hamming_distance,
     is_cellular,
@@ -32,7 +37,7 @@ from balleans.ballean import (
 )
 from balleans.groups import FiniteAbelianGroup, all_subgroups, fag_log_distance
 from balleans.lattices import ExtNat
-from balleans.suites import exp_power_inclusion_holds, random_ballean
+from balleans.suites import random_ballean
 
 from oracles import (
     cellularization_by_unions,
@@ -92,6 +97,30 @@ class TestValidation:
         for _ in range(30):
             assert validate_ballean(random_ballean(rng)).ok
 
+    def test_report_does_not_depend_on_the_hash_seed(self):
+        # string points hash differently under each PYTHONHASHSEED, so a
+        # report read off a frozenset walk would change with it
+        script = (
+            "from balleans.ballean import ExplicitBallean, validate_ballean\n"
+            "t = ExplicitBallean.from_table\n"
+            "for b in (t(('p', 'q'), ('a',), {('p', 'a'): {'p', 'q', 'zz'},\n"
+            "                                 ('q', 'a'): {'q'}}),\n"
+            "          t(('p', 'q', 'r'), ('a',), {('p', 'a'): {'p', 'q', 'r'}})):\n"
+            "    try:\n"
+            "        print(validate_ballean(b).to_json())\n"
+            "    except ValueError as exc:\n"
+            "        print('ValueError:', exc)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outs = set()
+        for seed in range(8):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            outs.add(subprocess.run([sys.executable, "-c", script], env=env,
+                                    capture_output=True, text=True,
+                                    check=True).stdout)
+        assert outs == {"ValueError: unknown point or radius\n"
+                        "{'ok': False, 'violation': \"symmetry fails between "
+                        "'p' and 'q' at 'a'\"}\n"}
+
 
 class TestBallsAndCellularization:
     def test_iterate_fixtures(self):
@@ -104,6 +133,11 @@ class TestBallsAndCellularization:
     def test_unknown_point(self):
         with pytest.raises(ValueError):
             ball_iterate(three_point(), "z", "r", 1)
+
+    def test_unknown_radius(self):
+        for n in range(3):
+            with pytest.raises(ValueError, match="^unknown point or radius$"):
+                ball_iterate(three_point(), "a", "s", n)
 
     def test_cellularization_fixture(self):
         c = cellularization(three_point())
@@ -135,8 +169,9 @@ class TestBallsAndCellularization:
     def test_cellularization_matches_unions_on_arbitrary_tables(self):
         # every reader of the mask view against its set route in
         # tests/oracles.py, on tables where no axiom need hold: balls may miss
-        # their centre, be asymmetric, name points outside the support, or be
-        # missing. Where a set route raises, the mask route raises alike.
+        # their centre, be asymmetric, name points outside the support, be
+        # missing, or have a key outside support x radii. Where a set route
+        # raises, the mask route raises alike.
         routes = {"validate": (validate_ballean, validate_by_sets),
                   "cellularization": (lambda b: cellularization(b).balls,
                                       cellularization_by_unions),
@@ -146,7 +181,7 @@ class TestBallsAndCellularization:
         rng = random.Random(11)
         seen = set()
         for trial in range(600):
-            b, stray = _arbitrary_table(rng, trial)
+            b = _arbitrary_table(rng, trial)
             for name, (route, reference) in routes.items():
                 want = _outcome(reference, b)
                 assert _outcome(route, b) == want, (trial, name, b)
@@ -158,12 +193,7 @@ class TestBallsAndCellularization:
                 seen.add((name, want if isinstance(want, (bool, str)) else "value"))
             max_n = rng.randint(1, 3)
             want = _outcome(exp_power_inclusion_by_sets, b, max_n)
-            got = _outcome(exp_power_inclusion_holds, b, max_n)
-            if got != want:
-                # the mask route refuses a point outside the support from
-                # max_n = 2 on, also where the set route never expands it
-                assert stray and max_n > 1 and got == _UNKNOWN, (trial, b)
-                want = "stricter"
+            assert _outcome(exp_power_inclusion_holds, b, max_n) == want, (trial, b)
             seen.add(("power", want))
         assert seen == {
             ("validate", _UNKNOWN), ("validate", "containment"),
@@ -171,7 +201,7 @@ class TestBallsAndCellularization:
             ("cellularization", _UNKNOWN), ("cellularization", "value"),
             ("is_cellular", _UNKNOWN), ("is_cellular", True), ("is_cellular", False),
             ("components", _UNKNOWN), ("components", "value"),
-            ("power", True), ("power", _UNKNOWN), ("power", "stricter")}
+            ("power", True), ("power", _UNKNOWN)}
 
 
 _UNKNOWN = "ValueError: unknown point or radius"
@@ -185,11 +215,11 @@ def _outcome(fn, *args):
 
 
 def _arbitrary_table(rng, trial):
-    """A ball table of up to 7 points with no axiom guaranteed, and whether
-    a ball names a point outside the support. Every other table starts from
-    a reflexive symmetric relation so that symmetry and multiplicativity are
-    reached; then a ball may lose its centre, gain a one-way edge or a
-    point outside the support, or its key may be dropped."""
+    """A ball table of up to 7 points with no axiom guaranteed. Every other
+    table starts from a reflexive symmetric relation so that symmetry and
+    multiplicativity are reached; then a ball may lose its centre, gain a
+    one-way edge or a point outside the support, its key may be dropped, or
+    a ball may be added at a point or radius outside the table's."""
     support = list(range(rng.randint(1, 7)))
     if trial % 3 == 0:
         support = [f"p{x}" for x in support]
@@ -208,18 +238,19 @@ def _arbitrary_table(rng, trial):
         table.update({(x, a): rel[x] for x in support})
     for _ in range(rng.choice([0, 0, 0, 1, 2]) if len(table) > 1 else 0):
         x, a = rng.choice(list(table))
-        change = rng.randrange(4)
+        change = rng.randrange(5)
         if change == 0:
             table[(x, a)].discard(x)
         elif change == 1:
             table[(x, a)].add(rng.choice(support))
         elif change == 2:
             table[(x, a)].add(rng.choice(["stray", 99, (0, 1)]))
-        else:
+        elif change == 3:
             table.pop((x, a), None)
-    stray = any(y not in support for ball in table.values() for y in ball)
+        else:
+            table[rng.choice([("stray", a), (x, "r9")])] = {x}
     return ExplicitBallean(tuple(support), tuple(radii),
-                           {k: frozenset(v) for k, v in table.items()}), stray
+                           {k: frozenset(v) for k, v in table.items()})
 
 
 class TestComponents:
@@ -237,7 +268,9 @@ class TestComponents:
 
     def test_point_outside_the_support_refused(self):
         b = ExplicitBallean.from_table([0, 1], ["r"], {(0, "r"): {0, 5}})
-        for reader in (connected_components, validate_ballean, cellularization):
+        for reader in (connected_components, validate_ballean, cellularization,
+                       is_cellular, exp_hyperballean_of,
+                       lambda b: exp_power_inclusion_holds(b, 1)):
             with pytest.raises(ValueError, match="^unknown point or radius$"):
                 reader(b)
 
@@ -319,8 +352,10 @@ class TestExpHyperballean:
 
     def test_matches_reference_on_arbitrary_tables(self):
         # no axiom holds: balls may miss their centre, be asymmetric, or
-        # name points outside the support
+        # name points outside the support, which both routes refuse; the
+        # table cut down to the support matches
         rng = random.Random(5)
+        refused = 0
         for trial in range(150):
             n = rng.randint(1, 6)
             support = list(range(n)) if trial % 2 else [f"p{i}" for i in range(n)]
@@ -328,8 +363,16 @@ class TestExpHyperballean:
             radii = [f"r{j}" for j in range(rng.randint(1, 3))]
             table = {(x, a): frozenset(rng.sample(pool, rng.randint(0, n + 2)))
                      for x in support for a in radii}
+            inside = {k: ball & set(support) for k, ball in table.items()}
             self._assert_matches_reference(
-                ExplicitBallean(tuple(support), tuple(radii), table))
+                ExplicitBallean(tuple(support), tuple(radii), inside))
+            if inside != table:
+                refused += 1
+                b = ExplicitBallean(tuple(support), tuple(radii), table)
+                for route in (exp_hyperballean_of, exp_hyperballean_reference):
+                    with pytest.raises(ValueError, match="^unknown point or radius$"):
+                        route(b)
+        assert 0 < refused < 150
 
     def test_matches_reference_on_valid_balleans(self):
         rng = random.Random(6)
@@ -493,6 +536,11 @@ class TestGroupExpBalls:
         radius = [1, 7]  # symmetric-closed up to inversion
         for z in g_exp_ball(y, radius):
             assert exp_ball_membership(FiniteSubset(g, z), y, radius)
+
+    def test_identity_of_both_parent_kinds(self):
+        assert ZWindow(2).zero == 0
+        assert symmetrize_radius(ZWindow(2), [2]) == {-2, 0, 2}
+        assert symmetrize_radius(FiniteAbelianGroup((6,)), [2]) == {(0,), (2,), (4,)}
 
     def test_zwindow_refuses_overflow(self):
         w = ZWindow(5)
