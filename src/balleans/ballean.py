@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence, Union
 
@@ -564,30 +565,60 @@ def g_exp_ball(y: FiniteSubset, radius: Iterable) -> set[frozenset]:
 # the exact mu set metric
 
 
-def _min_cover_size(universe: int, sets: Iterable[int]) -> Optional[int]:
-    """Exact minimum number of the int masks in sets whose union covers the
-    mask universe, or None if their union falls short.
-
-    Duplicate masks and masks inside another mask are dropped first: some
-    minimum cover uses none of them. Then branch and bound on the rarest
-    uncovered element, with a greedy initial upper bound and the bound
-    |missing| / (largest progress of one set). A node where every mask
-    meets missing in at most 2 bits, the root before its greedy bound
-    included, is finished as an edge cover (Gallai 1959): |missing| − ν
-    more sets, ν the size of a maximum matching in the graph with one edge
-    per 2-bit restriction (Edmonds 1965)."""
-    if not universe:
-        return 0
+def _undominated(masks: Iterable[int]) -> tuple[list[int], int]:
+    """The masks that no other mask contains (0 only if it is the only
+    mask), largest first, and their union. A mask is tested only against the
+    kept masks with more bits, and a single bit only against their union."""
     kept: list[int] = []
-    for s in sorted({s & universe for s in sets} - {0},
-                    key=int.bit_count, reverse=True):
-        if all(s | k != k for k in kept):
+    union = bigger = size = 0
+    for s in sorted(masks, key=int.bit_count, reverse=True):
+        if s.bit_count() != size:
+            size, bigger = s.bit_count(), len(kept)  # kept[:bigger] have more bits
+        if (s & ~union if size == 1 else
+                all(s | k != k for k in itertools.islice(kept, bigger))):
             kept.append(s)
-    union = 0
-    for s in kept:
-        union |= s
+            union |= s
+    return kept, union
+
+
+def _min_cover_size(universe: int, sets: Iterable[int],
+                    floor: int = 0) -> Optional[int]:
+    """Exact minimum number of the int masks in sets whose union covers the
+    mask universe, or None if their union falls short. A caller that knows
+    the answer is at least floor lets the search stop at a cover that small.
+
+    Reductions first (Caprara, Toth, Fischetti 2000): masks inside another
+    mask are dropped, as some minimum cover uses none of them; a set that
+    alone holds some element is in every cover, so it is counted, what it
+    covers leaves the universe, and the reductions repeat. Then branch and
+    bound on the rarest uncovered element, its holders by decreasing gain,
+    from a greedy upper bound. A node is pruned by |missing| / (largest gain
+    of one set), else by a packing bound: walked rarest first, each missing
+    element whose holders share no set with those of the elements counted
+    before needs a set of its own. A node where every mask meets missing in
+    at most 2 bits, the root included, is finished as an edge cover (Gallai
+    1959): |missing| − ν more sets, ν the size of a maximum matching in the
+    graph with one edge per 2-bit restriction (Edmonds 1965)."""
+    kept, union = _undominated({s & universe for s in sets})
     if union != universe:
         return None
+    forced = 0
+    while universe:
+        once = twice = 0
+        for s in kept:
+            twice |= once & s
+            once |= s
+        only = once & ~twice
+        if not only:
+            break
+        for s in kept:
+            if s & only:
+                universe &= ~s
+                forced += 1
+        kept = _undominated({s & universe for s in kept})[0]
+    if not universe:
+        return forced
+    floor -= forced
 
     def edge_cover(missing: int) -> int:  # vertices are bit positions
         edges = [((p & -p).bit_length() - 1, p.bit_length() - 1)
@@ -595,46 +626,50 @@ def _min_cover_size(universe: int, sets: Iterable[int]) -> Optional[int]:
         return missing.bit_count() - _max_matching(missing.bit_length(), edges)
 
     if kept[0].bit_count() <= 2:
-        return edge_cover(universe)
+        return forced + edge_cover(universe)
 
     # greedy upper bound
-    remaining = universe
-    greedy = 0
+    remaining, best_known = universe, 0
     while remaining:
-        best = max(kept, key=lambda s: (s & remaining).bit_count())
-        remaining &= ~best
-        greedy += 1
+        remaining &= ~max(kept, key=lambda s: (s & remaining).bit_count())
+        best_known += 1
 
-    best_known = greedy
-    holders: dict[int, list[int]] = {}
-    rest = universe
-    while rest:
-        low = rest & -rest
-        holders[low] = [s for s in kept if s & low]
-        rest ^= low
-    rarest_first = sorted(holders, key=lambda e: len(holders[e]))
+    # per element, rarest first: (bit, holders' indices in kept, holders)
+    rarest_first = []
+    for e in (1 << i for i in range(universe.bit_length()) if universe >> i & 1):
+        held = [j for j, s in enumerate(kept) if s & e]
+        rarest_first.append((e, sum(1 << j for j in held), [kept[j] for j in held]))
+    rarest_first.sort(key=lambda t: len(t[2]))
 
-    def search(covered: int, used: int) -> None:
+    def search(missing: int, used: int) -> None:
         nonlocal best_known
-        if used >= best_known:
-            return
-        missing = universe & ~covered
         if not missing:
-            best_known = used
+            best_known = min(best_known, used)
             return
-        # simple lower bound: largest candidate set caps per-step progress
         biggest = max((s & missing).bit_count() for s in kept)
         if used + -(-missing.bit_count() // biggest) >= best_known:
             return
         if biggest <= 2:
             best_known = min(best_known, used + edge_cover(missing))
             return
-        pivot = next(e for e in rarest_first if e & missing)
-        for s in holders[pivot]:
-            search(covered | s, used + 1)
+        packed = blocked = 0
+        for e, held, sets_of_e in rarest_first:
+            if e & missing and not held & blocked:
+                if not blocked:
+                    pivot_sets = sets_of_e
+                blocked |= held
+                packed += 1
+        if used + packed >= best_known:
+            return
+        for s in sorted(pivot_sets, key=lambda s: (s & missing).bit_count(),
+                        reverse=True):
+            search(missing & ~s, used + 1)
+            if best_known <= floor:
+                return
 
-    search(0, 0)
-    return best_known
+    if best_known > floor:
+        search(universe, 0)
+    return forced + best_known
 
 
 def _max_matching(n: int, edges: Iterable[tuple[int, int]]) -> int:
@@ -709,8 +744,9 @@ def _translate_cover_masks(parent: Parent, base: frozenset,
     if isinstance(parent, ZWindow):
         pairs = ((i, t - b) for i, t in enumerate(targets) for b in base)
     else:
-        negs = [parent.neg(b) for b in base]
-        pairs = ((i, parent.add(t, nb)) for i, t in enumerate(targets) for nb in negs)
+        ms = parent.invariant_factors
+        pairs = ((i, tuple(map(operator.mod, map(operator.sub, t, b), ms)))
+                 for i, t in enumerate(targets) for b in base)
     out: dict = {}
     for i, g in pairs:
         out[g] = out.get(g, 0) | 1 << i
@@ -744,7 +780,9 @@ def mu_report(y: FiniteSubset, z: FiniteSubset) -> MuReport:
     The forced identity covers Y ∩ Z in both directions, so only Z ∖ Y and
     Y ∖ Z need covering. For the single set the universe puts Z ∖ Y on the
     low bits and Y ∖ Z above them, and a translate's mask is the union of
-    its masks in the two directions."""
+    its masks in the two directions. One S serving both directions is a
+    pair (S, S), so single_set >= mu: that search may stop at its first
+    cover of mu − 1 translates besides e, which is then minimum."""
     if y.parent != z.parent:
         raise ValueError("subsets of different parents")
     parent = y.parent
@@ -756,22 +794,22 @@ def mu_report(y: FiniteSubset, z: FiniteSubset) -> MuReport:
     into_z.pop(e, None)
     into_y.pop(e, None)
 
-    def cover_size(targets: tuple, covers: dict) -> Optional[int]:
+    def cover_size(targets: tuple, covers: dict, floor: int = 0) -> Optional[int]:
         # min |F| with e in F and the translates in F covering the targets
-        extra = _min_cover_size((1 << len(targets)) - 1, covers.values())
+        extra = _min_cover_size((1 << len(targets)) - 1, covers.values(), floor)
         return None if extra is None else 1 + extra
 
     fy = cover_size(z_only, into_z)
     sz = cover_size(y_only, into_y)
     if fy is None or sz is None:
-        mu = ExtNat.infinity()
+        mu, floor = ExtNat.infinity(), 0
     else:
-        mu = ExtNat.finite(max(fy, sz))
+        mu, floor = ExtNat.finite(max(fy, sz)), max(fy, sz) - 1
 
     both = dict(into_z)
     for g, m in into_y.items():
         both[g] = both.get(g, 0) | m << len(z_only)
-    single = cover_size(z_only + y_only, both)
+    single = cover_size(z_only + y_only, both, floor)
     return MuReport(mu, ExtNat.infinity() if single is None else ExtNat.finite(single))
 
 

@@ -74,20 +74,25 @@ class FiniteAbelianGroup:
         return (0,) * self.k
 
     def normalize(self, x: Union[int, Sequence[int]]) -> tuple[int, ...]:
-        """Reduce coordinatewise; bare ints are accepted for cyclic groups."""
+        """Reduce coordinatewise; bare ints are accepted for cyclic groups.
+        A coordinate that is not an int, or is a bool, is refused."""
         if isinstance(x, int):
             if self.k != 1:
                 raise ValueError("bare integers only valid in cyclic groups")
             x = (x,)
         if len(x) != self.k:
             raise ValueError("element arity does not match the group")
-        return tuple(map(operator.mod, map(int, x), self.invariant_factors))
+        # the exact-type test is the fast path; int subclasses but bool pass too
+        if set(map(type, x)) - {int} and any(
+                not isinstance(c, int) or isinstance(c, bool) for c in x):
+            raise ValueError("group element coordinates must be integers")
+        return tuple(map(operator.mod, x, self.invariant_factors))
 
     def add(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.invariant_factors))
+        return tuple(map(operator.mod, map(operator.add, a, b), self.invariant_factors))
 
     def neg(self, a: Sequence[int]) -> tuple[int, ...]:
-        return tuple((-x) % m for x, m in zip(a, self.invariant_factors))
+        return tuple(map(operator.mod, map(operator.neg, a), self.invariant_factors))
 
     def elements(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(*(range(m) for m in self.invariant_factors))

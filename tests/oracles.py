@@ -457,11 +457,12 @@ def min_cover_brute(universe, sets):
     return None
 
 
-def min_cover_search(universe: int, sets):
+def min_cover_search(universe: int, sets, floor: int = 0):
     """The package's former `ballean._min_cover_size`: the same branch and
     bound on int masks (dominance filter, greedy upper bound, rarest
     element first, cardinality bound) with no edge-cover step, so it
-    enumerates where every set has at most 2 elements."""
+    enumerates where every set has at most 2 elements. floor is accepted
+    and ignored: the search always proves its minimum."""
     if not universe:
         return 0
     kept = []

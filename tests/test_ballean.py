@@ -643,6 +643,46 @@ class TestMinCover:
             outcomes.add(want is None)
         assert outcomes == {True, False}
 
+    def test_reductions_and_floor_match_brute_force(self):
+        # systems rich in singletons, repeated sets and elements with a
+        # single holder, so that dominance and forced sets fire, often in
+        # cascades; any floor up to the answer leaves the answer unchanged
+        rng = random.Random(16)
+        mask = lambda s: sum(1 << x for x in s)
+        outcomes, forced, systems = set(), 0, []
+        for _ in range(1500):
+            n = rng.randint(0, 12)
+            sets = []
+            for _ in range(rng.randint(0, 13)):
+                roll = rng.random()
+                if roll < 0.3 or not n:
+                    sets.append({rng.randrange(n + 1)})
+                elif roll < 0.45 and sets:
+                    sets.append(set(rng.choice(sets)))
+                else:
+                    sets.append(set(rng.sample(range(n), rng.randint(1, min(4, n)))))
+            for x in rng.sample(range(n), rng.randint(0, n)):
+                # x keeps one holder, or none
+                for s in sets:
+                    s.discard(x)
+                if sets and rng.random() < 0.8:
+                    rng.choice(sets).add(x)
+                    forced += 1
+            systems.append((n, sets))
+        for _ in range(1500):
+            # dense: sets of 3 to 5 elements, so the search itself runs
+            n = rng.randint(6, 12)
+            systems.append((n, [set(rng.sample(range(n), rng.randint(3, 5)))
+                                for _ in range(rng.randint(4, 14))]))
+        for n, sets in systems:
+            want = min_cover_brute(range(n), sets)
+            for floor in range(0 if want is None else want + 1):
+                assert _min_cover_size(mask(range(n)), map(mask, sets), floor) == want, (
+                    n, sets, floor)
+            assert _min_cover_size(mask(range(n)), map(mask, sets)) == want
+            outcomes.add(want is None)
+        assert outcomes == {True, False} and forced > 1500
+
     def test_max_matching_matches_brute_force(self):
         rng = random.Random(3)
         for _ in range(400):
@@ -724,6 +764,50 @@ class TestMuCliffs:
             assert rep.single_set >= rep.mu
         monkeypatch.setattr(ballean, "_min_cover_size", min_cover_search)
         assert mu_report(y, z) == rep
+
+
+def translate_masks(g, base, targets) -> dict:
+    """{h: mask of the targets inside h + base} for h ≠ e, bit i standing
+    for targets[i], by coordinatewise subtraction t − b."""
+    out = {}
+    for i, t in enumerate(targets):
+        for b in base:
+            h = tuple((x - y) % m for x, y, m in zip(t, b, g.invariant_factors))
+            out[h] = out.get(h, 0) | 1 << i
+    out.pop(g.zero, None)
+    return out
+
+
+class TestFourPointCliffs:
+    # the former search passed 5 s on 8 of these pairs; it finishes the
+    # single-set cover within a second only on these seeds
+    SINGLE_SET_SEEDS = {(4,) * 4: {0, 1, 2, 3, 5, 6, 7, 8, 9, 15, 16, 19},
+                        (3,) * 5: {0, 2, 3, 4, 5, 6, 7, 8, 10, 11, 13, 14, 18}}
+
+    @pytest.mark.parametrize("orders", [(4,) * 4, (3,) * 5])
+    def test_matches_the_former_search(self, orders):
+        # |Y| = 4, |Z| = 40, seeds 0-19: Y then Z by random.Random(seed).sample
+        # of the elements in order; mu from the former search on the two
+        # direction covers, single_set on the seeds above
+        g = FiniteAbelianGroup(orders)
+        elems = list(g.elements())
+        full = lambda targets: (1 << len(targets)) - 1
+        for seed in range(20):
+            rng = random.Random(seed)
+            y, z = frozenset(rng.sample(elems, 4)), frozenset(rng.sample(elems, 40))
+            rep = mu_report(FiniteSubset(g, y), FiniteSubset(g, z))
+            z_only, y_only = sorted(z - y), sorted(y - z)
+            into_z, into_y = translate_masks(g, y, z_only), translate_masks(g, z, y_only)
+            extra = max(min_cover_search(full(z_only), into_z.values()),
+                        min_cover_search(full(y_only), into_y.values()))
+            assert rep.mu == ExtNat.finite(1 + extra), seed
+            assert rep.single_set >= rep.mu
+            if seed in self.SINGLE_SET_SEEDS[orders]:
+                both = dict(into_z)
+                for h, m in into_y.items():
+                    both[h] = both.get(h, 0) | m << len(z_only)
+                single = min_cover_search(full(z_only + y_only), both.values())
+                assert rep.single_set == ExtNat.finite(1 + single), seed
 
 
 class TestHamming:

@@ -151,6 +151,25 @@ class TestOtherCommands:
         assert run(["verify", "--suite", "all", "--seed", "0"]) == 0
         assert capsys.readouterr().out == recorded.read_text()
 
+    def test_mu_seed_484_pairs_finish_in_time(self, capsys, monkeypatch):
+        # |Y| = 4 in (Z/2)^8, Y then Z drawn by random.Random(484) from the
+        # elements in order, as CI draws the |Z| = 48 pair: the cover search
+        # once ran past a minute on both sizes
+        monkeypatch.delenv("BALLEAN_LOG_BASE", raising=False)
+        elems = list(FiniteAbelianGroup((2,) * 8).elements())
+        text = lambda s: "{" + ",".join(str(x).replace(" ", "") for x in s) + "}"
+        for size, mu in ((40, 32), (48, 37)):
+            rng = random.Random(484)
+            y, z = rng.sample(elems, 4), rng.sample(elems, size)
+            start = time.perf_counter()
+            assert run(["mu", "--group", "Z(2,2,2,2,2,2,2,2)",
+                        "--set", text(y), "--set", text(z)]) == 0
+            assert time.perf_counter() - start < 2
+            out = capsys.readouterr().out
+            assert (json.loads(out)["mu"], json.loads(out)["single_set"]) == (mu, mu)
+        recorded = pathlib.Path(__file__).parent / "data" / "mu_seed484.json"
+        assert out == recorded.read_text()
+
     def test_verify_failure_prints_report_and_exits_1(self, capsys, monkeypatch):
         failing = VerificationReport("broken", 1, (("bad", 0),))
         monkeypatch.setitem(suites.SUITES, "tree",

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from balleans.ballean import FiniteSubset
 from balleans.groups import (
     AsdimReport,
     CardinalToken,
@@ -64,6 +65,19 @@ class TestFiniteAbelianGroup:
         assert g.neg((1, 1)) == (1, 3)
         assert g.element_order((0, 1)) == 4
         assert len(list(g.elements())) == 8
+
+    def test_normalize_refuses_coordinates_that_are_not_ints(self):
+        # these were once rewritten: (1.5, 2) to (1, 2), ('3', 1) to (1, 1)
+        g = FiniteAbelianGroup((2, 4))
+        for bad in ((1.5, 2), ("3", 1), (True, 1), (1, None)):
+            with pytest.raises(ValueError, match="must be integers"):
+                g.normalize(bad)
+            with pytest.raises(ValueError, match="must be integers"):
+                FiniteSubset.of(g, [(0, 0), bad])
+        with pytest.raises(ValueError, match="must be integers"):
+            FiniteAbelianGroup((5,)).normalize(True)
+        assert g.normalize((3, -1)) == (1, 3)
+        assert FiniteAbelianGroup((5,)).normalize(7) == (2,)
 
     def test_from_orders_and_element_order_brute_force(self):
         for orders in ([1], [6], [4, 6], [2, 3, 4], [9, 6, 1], [8, 12, 2]):
