@@ -80,12 +80,20 @@ class ExplicitBallean:
     def to_json(self) -> dict:
         """Points and radii through a typed codec, so tuple and frozenset
         identifiers come back as they went in; each ball is one
-        [point, radius, members] entry, in support and then radius order."""
+        [point, radius, members] entry, in support and then radius order.
+        A ball object shared by several keys, as in derived tables, is
+        encoded once."""
+        encoded: dict[int, list] = {}
+
+        def members(ball: frozenset) -> list:
+            if id(ball) not in encoded:
+                encoded[id(ball)] = _encode_set(ball)
+            return encoded[id(ball)]
+
         return {
             "support": [_encode_id(x) for x in self.support],
             "radii": [_encode_id(a) for a in self.radii],
-            "balls": [[_encode_id(x), _encode_id(a),
-                       _encode_set(self.balls[(x, a)])]
+            "balls": [[_encode_id(x), _encode_id(a), members(self.balls[(x, a)])]
                       for x in self.support for a in self.radii],
         }
 

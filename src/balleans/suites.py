@@ -9,8 +9,10 @@ enumeration, or random instance generation) and reports violations; the CLI
 from __future__ import annotations
 
 import itertools
+import os
 import random
-from typing import Iterable, Optional, Sequence
+import threading
+from typing import Callable, Iterable, Optional, Sequence
 
 from .ballean import (
     ExplicitBallean,
@@ -24,7 +26,7 @@ from .ballean import (
     validate_ballean,
 )
 from .groups import FiniteAbelianGroup, _is_prime, all_subgroups, fag_log_distance
-from .lattices import Lattice, lattice_from_generators, log_subgroup_distance
+from .lattices import lattice_from_generators, log_subgroup_distance
 from .witnesses import (
     PrimeTuple,
     TaxiPoint,
@@ -42,13 +44,91 @@ from .witnesses import (
 
 
 # ---------------------------------------------------------------------------
+# fanning a suite's independent checks out over the usable cores
+
+# A fork costs the caller about 0.7 ms and a child's answer reaches it about
+# 3 ms after the fork (a 2-core Linux VM, Python 3.11), while every suite that
+# fans out takes 15-45 ms in one process. At 4 workers the forks add 2 ms to
+# the caller's own slice, so more would stop paying for the smaller suites;
+# no machine with more than 2 usable cores was measured.
+_MAX_WORKERS = 4
+
+
+def _workers(samples: int) -> int:
+    """How many processes share the samples: the usable cores, at most
+    _MAX_WORKERS and one per sample; 1 where fork is missing or unsafe (a
+    second thread may hold a lock the child would inherit held)."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), _MAX_WORKERS, samples)
+
+
+def _fan_out(check: Callable[..., list], samples: Sequence) -> list:
+    """The lists check(s) for s in samples, joined in that order. With k > 1
+    workers, k - 1 forked children each take every k-th sample and answer
+    through a pipe, and the caller takes the rest. A child's exception is
+    raised here; every child is killed if still running and reaped before
+    this returns or raises, whatever interrupts it."""
+    k = _workers(len(samples))
+    if k < 2:
+        return [v for s in samples for v in check(s)]
+    import pickle
+    import signal
+
+    children = []  # (pid, read end of its pipe)
+    try:
+        for i in range(1, k):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    try:
+                        answer = (True, [check(s) for s in samples[i::k]])
+                    except Exception as e:
+                        answer = (False, e)
+                    with os.fdopen(w, "wb") as out:
+                        out.write(pickle.dumps(answer))
+                    status = 0
+                finally:
+                    os._exit(status)
+            children.append((pid, os.fdopen(r, "rb")))
+            os.close(w)
+        results = [None] * len(samples)
+        results[0::k] = [check(s) for s in samples[0::k]]
+        for i, (pid, pipe) in enumerate(children, 1):
+            data = pipe.read()
+            if not data:
+                raise RuntimeError("a suite worker ended without an answer")
+            ok, answer = pickle.loads(data)
+            if not ok:
+                raise answer
+            results[i::k] = answer
+        return [v for vs in results for v in vs]
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+# ---------------------------------------------------------------------------
 # random instances
 
 
-def random_lattice(rng: random.Random, ambient: int, max_entry: int = 8) -> Lattice:
-    rows = [[rng.randint(-max_entry, max_entry) for _ in range(ambient)]
+def _random_rows(rng: random.Random, ambient: int, max_entry: int
+                 ) -> list[list[int]]:
+    """ambient random generator rows of Z^ambient, entries in
+    [-max_entry, max_entry]."""
+    return [[rng.randint(-max_entry, max_entry) for _ in range(ambient)]
             for _ in range(ambient)]
-    return lattice_from_generators(ambient, rows)
 
 
 def random_ballean(rng: random.Random, max_size: int = 6) -> ExplicitBallean:
@@ -140,17 +220,21 @@ def suite_elemab(primes: Sequence[int] = (2, 3), max_index: int = 4
     width = max_index + 1
     subsets = [frozenset(c) for size in range(width + 1)
                for c in itertools.combinations(range(width), size)]
-    violations = []
-    count = 0
+    pairs = []
     for p in primes:
         parent = FiniteAbelianGroup((p,) * width)
         lifts = [(f, _coordinate_subgroup(parent, f, width)) for f in subsets]
-        for (f, a), (fp, b) in itertools.combinations_with_replacement(lifts, 2):
-            count += 1
-            if fag_log_distance(a, b) != elementary_abelian_closed_form(p, f, fp):
-                violations.append((p, sorted(f), sorted(fp)))
-    return VerificationReport("elementary-abelian-correspondence", count,
-                              tuple(violations))
+        pairs += [(p, f, a, fp, b) for (f, a), (fp, b)
+                  in itertools.combinations_with_replacement(lifts, 2)]
+
+    def check(pair) -> list:
+        p, f, a, fp, b = pair
+        if fag_log_distance(a, b) != elementary_abelian_closed_form(p, f, fp):
+            return [(p, sorted(f), sorted(fp))]
+        return []
+
+    return VerificationReport("elementary-abelian-correspondence", len(pairs),
+                              tuple(_fan_out(check, pairs)))
 
 
 def _abelian_p_groups(max_order: int) -> list[FiniteAbelianGroup]:
@@ -177,16 +261,19 @@ def _partitions(n: int, largest: Optional[int] = None) -> Iterable[tuple[int, ..
 
 
 def suite_tree(max_order: int = 81) -> VerificationReport:
-    violations = []
     groups = _abelian_p_groups(max_order)
-    for g in groups:
+
+    def check(g: FiniteAbelianGroup) -> list:
         cert = cyclic_subgroup_tree(g)
+        violations = []
         if not cert.is_tree:
             violations.append(("not-a-tree", g.invariant_factors))
         if len(cert.edges) != len(cert.vertices) - 1:
             violations.append(("edge-count", g.invariant_factors))
+        return violations
+
     return VerificationReport("cyclic-subgroup-trees", len(groups),
-                              tuple(violations))
+                              tuple(_fan_out(check, groups)))
 
 
 def lz_exp_ball_windowed(n: int, m: int) -> set[int]:
@@ -194,36 +281,40 @@ def lz_exp_ball_windowed(n: int, m: int) -> set[int]:
     arithmetic inside the window [-W, W], W = 4 n (2m + 1)."""
     bound = n * (2 * m + 1)
     w = 4 * bound
-    f = range(-m, m + 1)
     out = set()
 
     def multiples(k: int, reach: int) -> range:  # kZ ∩ [-reach, reach]
         return range(-(reach // k) * k, reach + 1, k)
 
-    blown_n = {x + d for x in multiples(n, w) for d in f}
+    def blown(k: int) -> set[int]:  # kZ ∩ [-w, w] + [-m, m]
+        r = multiples(k, w)
+        return set().union(*(range(r.start + d, r.stop + d, k)
+                             for d in range(-m, m + 1)))
+
+    has_n = blown(n).__contains__
     inner_n = multiples(n, w - m)
     for k in range(1, bound + 1):
-        if not all(x in blown_n for x in multiples(k, w - m)):
-            continue
-        blown_k = {x + d for x in multiples(k, w) for d in f}
-        if all(x in blown_k for x in inner_n):
+        if all(map(has_n, multiples(k, w - m))) and \
+                all(map(blown(k).__contains__, inner_n)):
             out.add(k)
     return out
 
 
 def suite_lzball(max_n: int = 20, max_m: int = 3) -> VerificationReport:
-    violations = []
-    count = 0
-    for n in range(1, max_n + 1):
-        for m in range(0, max_m + 1):
-            count += 1
-            ball = lz_exp_ball(n, m)
-            if ball != lz_exp_ball_windowed(n, m):
-                violations.append(("window-mismatch", n, m))
-            if n > 3 * m and ball != {n}:
-                violations.append(("singleton", n, m))
-    return VerificationReport("integer-subgroup-exp-balls", count,
-                              tuple(violations))
+    cases = [(n, m) for n in range(1, max_n + 1) for m in range(0, max_m + 1)]
+
+    def check(case) -> list:
+        n, m = case
+        ball = lz_exp_ball(n, m)
+        violations = []
+        if ball != lz_exp_ball_windowed(n, m):
+            violations.append(("window-mismatch", n, m))
+        if n > 3 * m and ball != {n}:
+            violations.append(("singleton", n, m))
+        return violations
+
+    return VerificationReport("integer-subgroup-exp-balls", len(cases),
+                              tuple(_fan_out(check, cases)))
 
 
 def suite_mu_index() -> VerificationReport:
@@ -245,38 +336,48 @@ def suite_mu_index() -> VerificationReport:
 def suite_cellular(count: int = 25, seed: int = 0, max_size: int = 5
                    ) -> VerificationReport:
     rng = random.Random(seed)
-    violations = []
-    for i in range(count):
-        b = random_ballean(rng, max_size=max_size)
+    drawn = [(i, random_ballean(rng, max_size=max_size)) for i in range(count)]
+
+    def check(sample) -> list:
+        i, b = sample
         if not validate_ballean(b).ok:
-            violations.append(("generator-invalid", i))
-            continue
+            return [("generator-invalid", i)]
+        violations = []
         if not exp_power_inclusion_holds(b, max_n=3):
             violations.append(("power-inclusion", i))
         c = cellularization(b)
         if not is_cellular(exp_hyperballean_of(c)):
             violations.append(("exp-not-cellular", i))
+        return violations
+
     return VerificationReport("hyperballean-cellularity", count,
-                              tuple(violations))
+                              tuple(_fan_out(check, drawn)))
 
 
 def suite_axioms(seed: int = 0, triples: int = 200) -> VerificationReport:
     """Extended-metric axioms for the subgroup distance and the Hamming
     distance: symmetry, identity, and the (multiplicative) triangle law."""
     rng = random.Random(seed)
-    violations = []
-    for i in range(triples):
-        a, b, c = (random_lattice(rng, 2, 6) for _ in range(3))
+    drawn = [(i, [_random_rows(rng, 2, 6) for _ in range(3)])
+             for i in range(triples)]
+
+    def check(sample) -> list:
+        i, rows = sample
+        a, b, c = (lattice_from_generators(2, r) for r in rows)
         dab = log_subgroup_distance(a, b)
         dba = log_subgroup_distance(b, a)
         dbc = log_subgroup_distance(b, c)
         dac = log_subgroup_distance(a, c)
+        violations = []
         if dab != dba:
             violations.append(("symmetry", i))
         if dac > dab * dbc:
             violations.append(("triangle", i))
         if log_subgroup_distance(a, a).value != 1:
             violations.append(("identity", i))
+        return violations
+
+    violations = _fan_out(check, drawn)
     for i in range(triples):
         f, g, h = (frozenset(rng.sample(range(10), rng.randint(0, 6)))
                    for _ in range(3))

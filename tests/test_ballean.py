@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -869,6 +870,32 @@ class TestJson:
             again = ExplicitBallean.from_json(json.loads(json.dumps(d.to_json())))
             assert again == d
             assert [type(x) for x in again.support] == [type(x) for x in d.support]
+
+    def test_shared_balls_encoded_once_as_per_key(self):
+        def per_key(b):  # each ball encoded afresh
+            return [[ballean._encode_id(x), ballean._encode_id(a),
+                     ballean._encode_set(b.balls[(x, a)])]
+                    for x in b.support for a in b.radii]
+
+        def exp_of_path(n):  # radii 0..n-1
+            return exp_hyperballean_of(ExplicitBallean.from_table(
+                range(n), range(n), {(i, r): {j for j in range(n) if abs(i - j) <= r}
+                                     for i in range(n) for r in range(n)}))
+
+        rng = random.Random(43)
+        a = bounded_ballean(range(2), radii=["r"])
+        derived = [exp_hyperballean_of(product_ballean([a, a])), exp_of_path(6)]
+        for _ in range(5):
+            r = random_ballean(rng, max_size=4)
+            derived += [cellularization(r), exp_hyperballean_of(r)]
+        for d in derived:
+            assert d.to_json()["balls"] == per_key(d)
+        # 2040 keys and 527 distinct balls; encoded per key it took 3.6 s
+        e = exp_of_path(8)
+        start = time.perf_counter()
+        data = e.to_json()
+        assert time.perf_counter() - start < 2.0
+        assert len({id(m) for _, _, m in data["balls"]}) == 527
 
     def test_unsupported_or_malformed_identifiers_refused(self):
         with pytest.raises(ValueError):

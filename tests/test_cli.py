@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import random
 import time
@@ -7,6 +8,7 @@ import pytest
 
 from balleans import suites
 from balleans.cli import format_subgroup, parse_group, parse_subgroup, run
+from balleans.exactmat import abs_det
 from balleans.groups import FiniteAbelianGroup, PruferSubgroup
 from balleans.lattices import lattice_from_generators
 from balleans.witnesses import VerificationReport
@@ -77,6 +79,23 @@ class TestDist:
         code, out = run_json(capsys, ["dist", "--group", "Z",
                                       "--sub", "1Z", "--sub", "3Z"])
         assert code == 0 and out["log"] == pytest.approx(1.0)
+
+    def test_24x24_generator_sets_in_seconds(self, capsys):
+        # the row HNF of a 24x24 matrix with entries ±99 once took 30 s
+        rng = random.Random(3)
+        a, b = ([[rng.randint(-99, 99) for _ in range(24)] for _ in range(24)]
+                for _ in range(2))
+        span = lambda rows: "span[" + ",".join(
+            f"({','.join(map(str, r))})" for r in rows) + "]"
+        t0 = time.perf_counter()
+        code, out = run_json(capsys, ["dist", "--group", "Z^24",
+                                      "--sub", span(a), "--sub", span(b)])
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 0
+        # mu' = max(|det A|, |det B|) / |det(A + B)|, and det(A + B)
+        # divides both determinants (Bareiss, an independent route)
+        da, db = abs_det(a), abs_det(b)
+        assert math.gcd(da, db) % (max(da, db) // out["mu"]) == 0
 
     def test_finite_group(self, capsys):
         code, out = run_json(capsys, ["dist", "--group", "Z(12)",

@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
 import random
+import threading
+import time
 
 import pytest
 
@@ -395,6 +398,36 @@ class TestSuites:
                                "mu-index", "cellular", "axioms"}
 
 
+# each skew makes a compared function wrong on some inputs, so that the
+# suite and its former route both list violations, in the same order
+SKEWED_ROUTES = [
+    ("suite_iota", suite_iota_per_pair, "dlog_closed_form",
+     ("suites", "witnesses"),
+     lambda real: lambda pt, m, mp: real(pt, m, mp) * ExtNat.finite(
+         1 + (m.coords[0] == 1))),
+    ("suite_hamming", suite_hamming_per_pair, "taxi_distance",
+     ("suites", "witnesses"),
+     lambda real: lambda m, mp: real(m, mp) + (m.coords[-1] == 2)),
+    ("suite_elemab", suite_elemab_per_pair, "elementary_abelian_closed_form",
+     ("suites", "witnesses"),
+     lambda real: lambda p, f, fp: real(p, f, fp) * ExtNat.finite(
+         1 + (0 in f and p == 3))),
+    ("suite_lzball", suite_lzball_per_pair, "lz_exp_ball_windowed",
+     ("suites",),
+     lambda real: lambda n, m: set() if n % 7 == 0 else real(n, m)),
+    ("suite_mu_index", suite_mu_index_per_pair, "mu_set_distance",
+     ("suites", "ballean"),
+     lambda real: lambda y, z: real(y, z) * ExtNat.finite(
+         1 + (len(y.elements) == 2))),
+]
+
+
+def _skew(monkeypatch, name, modules, skew):
+    wrong = skew(getattr(suites, name))
+    for mod in modules:
+        monkeypatch.setattr(f"balleans.{mod}.{name}", wrong)
+
+
 class TestSuitesMatchPerPairRoutes:
     """The suites build each point's lift, embedding or subset once; the
     former routes in `tests/oracles.py` rebuild them for every pair, and
@@ -422,33 +455,116 @@ class TestSuitesMatchPerPairRoutes:
         assert suites.suite_lzball(7, 1) == suite_lzball_per_pair(7, 1)
         assert suites.suite_mu_index() == suite_mu_index_per_pair()
 
-    # each skew makes a compared function wrong on some inputs, so that the
-    # suite and its former route both list violations, in the same order
-    @pytest.mark.parametrize("suite,route,name,modules,skew", [
-        ("suite_iota", suite_iota_per_pair, "dlog_closed_form",
-         ("suites", "witnesses"),
-         lambda real: lambda pt, m, mp: real(pt, m, mp) * ExtNat.finite(
-             1 + (m.coords[0] == 1))),
-        ("suite_hamming", suite_hamming_per_pair, "taxi_distance",
-         ("suites", "witnesses"),
-         lambda real: lambda m, mp: real(m, mp) + (m.coords[-1] == 2)),
-        ("suite_elemab", suite_elemab_per_pair, "elementary_abelian_closed_form",
-         ("suites", "witnesses"),
-         lambda real: lambda p, f, fp: real(p, f, fp) * ExtNat.finite(
-             1 + (0 in f and p == 3))),
-        ("suite_lzball", suite_lzball_per_pair, "lz_exp_ball_windowed",
-         ("suites",),
-         lambda real: lambda n, m: set() if n % 7 == 0 else real(n, m)),
-        ("suite_mu_index", suite_mu_index_per_pair, "mu_set_distance",
-         ("suites", "ballean"),
-         lambda real: lambda y, z: real(y, z) * ExtNat.finite(
-             1 + (len(y.elements) == 2))),
-    ])
+    @pytest.mark.parametrize("suite,route,name,modules,skew", SKEWED_ROUTES)
     def test_violations_reported_alike(self, monkeypatch, suite, route, name,
                                        modules, skew):
-        wrong = skew(getattr(suites, name))
-        for mod in modules:
-            monkeypatch.setattr(f"balleans.{mod}.{name}", wrong)
+        _skew(monkeypatch, name, modules, skew)
         report = getattr(suites, suite)()
         assert report.violations
         assert report == route()
+
+
+class TestFanOut:
+    """`suites._fan_out` splits a suite's samples over forked children when
+    more than one core is usable; the reports must not depend on it."""
+
+    @pytest.fixture
+    def cores(self, monkeypatch):
+        """use(n) makes n cores usable; forks lists every fork since."""
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        def use(n):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(n)), raising=False)
+            forks.clear()
+
+        monkeypatch.setattr(os, "fork", fork)
+        use.forks = forks
+        return use
+
+    @staticmethod
+    def _no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("name,seed", [
+        ("elemab", 0), ("tree", 0), ("lzball", 0),
+        *((name, seed) for name in ("cellular", "axioms")
+          for seed in (0, 1, 7, 1003))])
+    def test_reports_equal_on_one_and_two_cores(self, cores, name, seed):
+        reports = []
+        for n, forked in ((1, False), (2, True)):
+            cores(n)
+            reports.append(suites.run_suite(name, seed))
+            assert bool(cores.forks) == forked
+        assert reports[0] == reports[1]
+        assert reports[0].ok and reports[0].samples > 0
+        self._no_child_left()
+
+    @pytest.mark.parametrize("suite,route,name,modules,skew", SKEWED_ROUTES)
+    def test_violations_reported_alike_on_two_cores(self, monkeypatch, cores,
+                                                    suite, route, name,
+                                                    modules, skew):
+        _skew(monkeypatch, name, modules, skew)
+        cores(2)
+        report = getattr(suites, suite)()
+        assert report.violations
+        assert report == route()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_results_in_input_order(self, cores, n):
+        cores(n)
+        out = suites._fan_out(lambda s: [(s, os.getpid())], list(range(11)))
+        assert [s for s, _ in out] == list(range(11))
+        pids = [pid for _, pid in out]
+        assert pids[0::n] == [os.getpid()] * len(pids[0::n])
+        assert len(set(pids)) == n and len(cores.forks) == n - 1
+        self._no_child_left()
+
+    @pytest.mark.parametrize("bad", [6, 7])  # the caller's slice, a child's
+    def test_exception_surfaces_and_children_are_reaped(self, cores, bad):
+        def check(s):
+            if s == bad:
+                raise ArithmeticError(f"sample {s} is bad")
+            return [s]
+
+        cores(2)
+        with pytest.raises(ArithmeticError, match="^sample %d is bad$" % bad):
+            suites._fan_out(check, list(range(10)))
+        assert cores.forks
+        self._no_child_left()
+
+    def test_interrupt_kills_a_busy_child(self, cores):
+        class Interrupt(BaseException):
+            pass
+
+        def check(s):
+            if s == 0:
+                raise Interrupt()
+            time.sleep(60)  # only the child's slice gets here
+            return []
+
+        cores(2)
+        start = time.perf_counter()
+        with pytest.raises(Interrupt):
+            suites._fan_out(check, [0, 1])
+        assert time.perf_counter() - start < 10
+        self._no_child_left()
+
+    def test_second_thread_keeps_work_in_process(self, cores):
+        cores(2)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait, args=(30,))
+        other.start()
+        try:
+            out = suites._fan_out(lambda s: [os.getpid()], list(range(8)))
+        finally:
+            stop.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
+        assert out == [os.getpid()] * 8 and not cores.forks
