@@ -345,73 +345,62 @@ def _cmd_verify(args) -> list:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# name -> (help, handler, the (flag, keyword arguments) of each option)
+_COMMANDS = {
+    "dist": ("distance between two subgroups", _cmd_dist, [
+        ("--group", dict(required=True)),
+        ("--sub", dict(action="append", default=[], required=True)),
+        ("--base", dict(type=float))]),
+    "ball": ("enumerate a metric or exp ball", _cmd_ball, [
+        ("--family", dict(required=True, choices=["LZ-exp", "LZ-log", "prufer"])),
+        ("--n", dict(type=int)), ("--m", dict(type=int)),
+        ("--K", dict(type=int)), ("--p", dict(type=int))]),
+    "component": ("connected-component census", _cmd_component, [
+        ("--family", dict(required=True, choices=["Z^n", "prufer", "finite"])),
+        ("--n", dict(type=int)), ("--p", dict(type=int))]),
+    "saturate": ("pure closure of a sublattice", _cmd_saturate, [
+        ("--group", dict(required=True)), ("--sub", dict(required=True))]),
+    "profile": ("classify a group descriptor file", _cmd_profile, [
+        ("--descriptor", dict(required=True))]),
+    "exp-ball": ("enumerate the identity-centred exp ball", _cmd_exp_ball, [
+        ("--group", dict(required=True)), ("--radius", dict(required=True))]),
+    "mu": ("exact covering distance between two sets", _cmd_mu, [
+        ("--group", dict(required=True)),
+        ("--set", dict(action="append", default=[], required=True)),
+        ("--base", dict(type=float))]),
+    "verify": ("run a verification suite", _cmd_verify, [
+        ("--suite", dict(default="all", choices=sorted(SUITES) + ["all"])),
+        ("--seed", dict(type=int, default=0)), ("--max-coord", dict(type=int))]),
+}
 
-def _build_parser() -> argparse.ArgumentParser:
+
+def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the command `only` alone. Then the
+    metavar names every command as argparse would, so the usage line of an
+    "unrecognized arguments" error reads the same."""
     parser = argparse.ArgumentParser(
-        prog="balleans",
-        description="Exact coarse geometry on subgroup lattices.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dist", help="distance between two subgroups")
-    p.add_argument("--group", required=True)
-    p.add_argument("--sub", action="append", default=[], required=True)
-    p.add_argument("--base", type=float)
-    p.set_defaults(fn=_cmd_dist)
-
-    p = sub.add_parser("ball", help="enumerate a metric or exp ball")
-    p.add_argument("--family", required=True,
-                   choices=["LZ-exp", "LZ-log", "prufer"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--K", type=int)
-    p.add_argument("--p", type=int)
-    p.set_defaults(fn=_cmd_ball)
-
-    p = sub.add_parser("component", help="connected-component census")
-    p.add_argument("--family", required=True,
-                   choices=["Z^n", "prufer", "finite"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=int)
-    p.set_defaults(fn=_cmd_component)
-
-    p = sub.add_parser("saturate", help="pure closure of a sublattice")
-    p.add_argument("--group", required=True)
-    p.add_argument("--sub", required=True)
-    p.set_defaults(fn=_cmd_saturate)
-
-    p = sub.add_parser("profile", help="classify a group descriptor file")
-    p.add_argument("--descriptor", required=True)
-    p.set_defaults(fn=_cmd_profile)
-
-    p = sub.add_parser("exp-ball",
-                       help="enumerate the identity-centred exp ball")
-    p.add_argument("--group", required=True)
-    p.add_argument("--radius", required=True)
-    p.set_defaults(fn=_cmd_exp_ball)
-
-    p = sub.add_parser("mu", help="exact covering distance between two sets")
-    p.add_argument("--group", required=True)
-    p.add_argument("--set", action="append", default=[], required=True)
-    p.add_argument("--base", type=float)
-    p.set_defaults(fn=_cmd_mu)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", default="all",
-                   choices=sorted(SUITES) + ["all"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-coord", type=int, dest="max_coord")
-    p.set_defaults(fn=_cmd_verify)
+        prog="balleans", description="Exact coarse geometry on subgroup lattices.")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=only and "{" + ",".join(_COMMANDS) + "}")
+    for name, (help_text, _, options) in _COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
     return parser
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    # a known command builds only its own parser, as all eight take most of
+    # a small query's time; anything else builds them all, as it always did
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
     try:
-        payload = args.fn(args)
+        payload = _COMMANDS[args.command][1](args)
         # serialized in full before writing, so a refused value leaves no
         # partial document on stdout
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)

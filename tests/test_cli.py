@@ -2,12 +2,19 @@ import json
 import math
 import pathlib
 import random
+import sys
 import time
 
 import pytest
 
-from balleans import suites
-from balleans.cli import format_subgroup, parse_group, parse_subgroup, run
+from balleans import cli, suites
+from balleans.cli import (
+    _build_parser,
+    format_subgroup,
+    parse_group,
+    parse_subgroup,
+    run,
+)
 from balleans.exactmat import abs_det
 from balleans.groups import FiniteAbelianGroup, PruferSubgroup
 from balleans.lattices import lattice_from_generators
@@ -23,6 +30,23 @@ def run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     return code, (json.loads(out, parse_constant=_not_json) if out.strip() else None)
+
+
+def argv_per_command(tmp_path) -> list[list[str]]:
+    """A successful invocation of each command; verify both with a seed and
+    with the default one."""
+    path = tmp_path / "desc.json"
+    path.write_text(json.dumps({"free_rank": 1, "reduced_torsion": {},
+                                "divisible": {"q_rank": 0, "prufer": {"2": 1}}}))
+    return [["dist", "--group", "Z(12)", "--sub", "gen{2}", "--sub", "gen{3}"],
+            ["ball", "--family", "LZ-log", "--n", "6", "--K", "2"],
+            ["component", "--family", "prufer", "--p", "3"],
+            ["saturate", "--group", "Z^2", "--sub", "span[(2,4)]"],
+            ["profile", "--descriptor", str(path)],
+            ["exp-ball", "--group", "Z(12)", "--radius", "1"],
+            ["mu", "--group", "Z(6)", "--set", "{0}", "--set", "{0,3}"],
+            ["verify", "--suite", "lzball", "--seed", "3"],
+            ["verify", "--suite", "iota"]]
 
 
 class TestParsing:
@@ -196,16 +220,82 @@ class TestOtherCommands:
         code, out = run_json(capsys, ["verify", "--suite", "tree"])
         assert code == 1 and out == [failing.to_json()]
 
-    def test_same_argv_twice_same_stdout(self, capsys):
-        for argv in (["dist", "--group", "Z(12)", "--sub", "gen{2}",
-                      "--sub", "gen{3}"],
-                     ["mu", "--group", "Z(6)", "--set", "{0}", "--set", "{0,3}"],
-                     ["verify", "--suite", "lzball"]):
+    def test_same_argv_twice_same_stdout(self, capsys, tmp_path):
+        for argv in argv_per_command(tmp_path):
             outs = []
             for _ in range(2):
                 assert run(argv) == 0
                 outs.append(capsys.readouterr().out)
             assert outs[0] and outs[0] == outs[1]
+
+    def test_interleaved_commands_keep_no_state(self, capsys, tmp_path):
+        # the one-set mu and three-sub dist are refused: an appended option
+        # that outlived its call would change those answers
+        argvs = argv_per_command(tmp_path) + [
+            ["mu", "--group", "Z(6)", "--set", "{0}"],
+            ["dist", "--group", "Z", "--sub", "2Z", "--sub", "3Z", "--sub", "5Z"]]
+        first = [(run(argv), *capsys.readouterr()) for argv in argvs]
+        assert [code for code, _, _ in first] == [0] * 9 + [2, 2]
+        order = [k for pair in zip(range(len(argvs)), reversed(range(len(argvs))))
+                 for k in pair]
+        for k in order:
+            assert (run(argvs[k]), *capsys.readouterr()) == first[k], argvs[k]
+
+    def test_run_without_argv_reads_sys_argv(self, capsys, monkeypatch):
+        # the console script's path
+        monkeypatch.setattr(sys, "argv", ["balleans", "dist", "--group", "Z",
+                                          "--sub", "2Z", "--sub", "3Z"])
+        code, out = run_json(capsys, None)
+        assert code == 0 and out["mu"] == 3
+        monkeypatch.setattr(sys, "argv", ["balleans", "--help"])
+        assert run() == 0 and "exp-ball" in capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["balleans", "frobnicate"])
+        assert run() == 2
+
+
+class TestOneCommandParser:
+    """`run` builds the parser of the command it is given and no other;
+    argparse's help and errors must read as with every command's parser."""
+
+    ARGVS = [[], ["--help"], ["frobnicate"], ["--", "dist"],
+             *([cmd, "--help"] for cmd in cli._COMMANDS),
+             # a required option missing, per command (verify has none, so
+             # an option without its value)
+             ["dist", "--group", "Z"], ["ball", "--n", "3"], ["component"],
+             ["saturate", "--group", "Z^2"], ["profile"],
+             ["exp-ball", "--group", "Z(6)"], ["mu", "--set", "{0}"],
+             ["verify", "--max-coord"],
+             # bad choices and bad numbers
+             ["ball", "--family", "X"], ["verify", "--suite", "X"],
+             ["component", "--family", "Z"],
+             ["ball", "--family", "LZ-exp", "--n", "x", "--m", "1"],
+             ["verify", "--seed", "1.5"],
+             ["dist", "--group", "Z", "--sub", "2Z", "--sub", "3Z", "--base", "e"],
+             ["mu", "--group", "Z(6)", "--set", "{0}", "--set", "{3}",
+              "--base", "two"],
+             # errors the top-level parser reports, with its usage line
+             ["dist", "--group", "Z", "--sub", "2Z", "--sub", "3Z", "--frob"],
+             ["saturate", "--group", "Z", "--sub", "2Z", "extra"]]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda a: " ".join(a) or "none")
+    def test_prints_what_the_full_parser_prints(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = (run(argv), *capsys.readouterr())
+        with pytest.raises(SystemExit) as stop:
+            _build_parser().parse_args(argv)
+        assert got == (2 if stop.value.code else 0, *capsys.readouterr())
+
+    def test_builds_one_parser_for_a_known_command(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "_build_parser", lambda only=None: (
+            built.append(only) or _build_parser(only)))
+        run(["saturate", "--group", "Z^2", "--sub", "span[(2,4)]"])
+        for argv in ([], ["--help"], ["frobnicate"], ["--", "saturate"]):
+            run(argv)
+        assert built == ["saturate", None, None, None, None]
+        with pytest.raises(SystemExit):  # mu's parser alone knows no dist
+            _build_parser("mu").parse_args(["dist", "--group", "Z",
+                                            "--sub", "2Z", "--sub", "3Z"])
 
 
 class TestExitCodes:
