@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 from .groups import FiniteAbelianGroup
 from .lattices import ExtNat
@@ -24,7 +26,7 @@ Radius = Hashable
 
 EXP_SUPPORT_LIMIT = 12
 LZ_ENUMERATION_LIMIT = 10 ** 6
-PRODUCT_SIZE_LIMIT = 4096
+PRODUCT_SIZE_LIMIT = 4096  # cells, points x radii, of a product or coproduct table
 ZERO_ONE = bytes.maketrans(b"01", b"\0\1")  # '0'/'1' digits to falsy/truthy bytes
 
 
@@ -32,35 +34,45 @@ ZERO_ONE = bytes.maketrans(b"01", b"\0\1")  # '0'/'1' digits to falsy/truthy byt
 class ExplicitBallean:
     """A finite ballean given by its full ball table.
 
-    Construction refuses repeated points or radii; from_table also
-    normalizes the table (and refuses a ball whose key is not in support x
-    radii). In a ball structure the keys are exactly support x radii and
-    each ball lies inside the support; _ball_masks refuses any other table
-    for every reader of the mask view. Axiom checking is the separate
+    Construction refuses any table that is not a ball structure (a repeated
+    point or radius, keys other than support x radii, a ball leaving the
+    support), so the readers need no check of their own; from_table fills
+    the balls it is not given with {x}. Axiom checking is the separate
     validate_ballean so that deliberately broken instances can be built
     and reported on.
     """
 
     support: tuple[Point, ...]
     radii: tuple[Radius, ...]
-    balls: dict[tuple[Point, Radius], frozenset]
+    balls: Mapping[tuple[Point, Radius], frozenset]  # held read-only, so the check holds
 
     def __post_init__(self) -> None:  # the mask view indexes points by position
         for kind, items in (("point", self.support), ("radius", self.radii)):
             if len(set(items)) < len(items):
                 rep = next(v for i, v in enumerate(items) if v in items[:i])
                 raise ValueError(f"repeated {kind}: {rep!r}")
+        balls, points = dict(self.balls), frozenset(self.support)
+        if balls.keys() != set(itertools.product(self.support, self.radii)) or not all(
+                map(points.issuperset, balls.values())):
+            raise ValueError("unknown point or radius")
+        object.__setattr__(self, "balls", MappingProxyType(balls))
+
+    def __reduce__(self):  # a read-only view does not pickle; rebuild through the check
+        return type(self), (self.support, self.radii, dict(self.balls))
+
+    @classmethod
+    def _canonical(cls, support: tuple, radii: tuple, balls: dict) -> "ExplicitBallean":
+        """A table derived from ball structures, built without the check."""
+        b = object.__new__(cls)
+        b.__dict__.update(support=support, radii=radii, balls=MappingProxyType(balls))
+        return b
 
     @classmethod
     def from_table(cls, support: Iterable[Point], radii: Iterable[Radius],
                    balls: dict) -> "ExplicitBallean":
-        sup = tuple(support)
-        rad = tuple(radii)
-        table = {(x, a): frozenset(balls.get((x, a), {x}))
-                 for x in sup for a in rad}
-        stray = [k for k in balls if k not in table]
-        if stray:
-            raise ValueError(f"ball of an unknown point or radius: {stray[0]!r}")
+        sup, rad = tuple(support), tuple(radii)
+        table = {(x, a): frozenset({x}) for x in sup for a in rad}
+        table.update((k, frozenset(v)) for k, v in balls.items())
         return cls(sup, rad, table)
 
     def ball(self, x: Point, a: Radius) -> frozenset:
@@ -205,17 +217,10 @@ class BalleanValidation:
 
 def _ball_masks(b: ExplicitBallean) -> list[list[int]]:
     """Per radius a, the rows of the table over the (distinct) support
-    positions: rows[j] is B(x_j, a). Every reader of a table goes through
-    here, so this is where its shape is judged: the keys must be exactly
-    support x radii and every ball must lie inside the support."""
-    if len(b.balls) != len(b.support) * len(b.radii):
-        raise ValueError("unknown point or radius")
+    positions: rows[j] is B(x_j, a)."""
     bit = {x: 1 << i for i, x in enumerate(b.support)}
-    try:
-        return [[sum(map(bit.__getitem__, b.balls[(x, a)])) for x in b.support]
-                for a in b.radii]
-    except KeyError:
-        raise ValueError("unknown point or radius") from None
+    return [[sum(map(bit.__getitem__, b.balls[(x, a)])) for x in b.support]
+            for a in b.radii]
 
 
 def _transpose(rows: list[int]) -> list[int]:
@@ -255,8 +260,7 @@ def validate_ballean(b: ExplicitBallean) -> BalleanValidation:
     with B(B(x,a),b) subset of B(x,g) simultaneously for every x. The first
     violation is reported: containment in support and then radius order,
     symmetry in radius and then support order, with y the first point of
-    the support in B(x, a) whose ball misses x. A table that is not a ball
-    structure raises ValueError("unknown point or radius"), as in _ball_masks.
+    the support in B(x, a) whose ball misses x.
     """
     views = _ball_masks(b)
     for j, x in enumerate(b.support):
@@ -284,8 +288,7 @@ def ball_iterate(b: ExplicitBallean, x: Point, a: Radius, n: int) -> frozenset:
     """The n-fold composition B(B(...B(x,a)...,a),a)."""
     if n < 0:
         raise ValueError("iteration count must be >= 0")
-    if x not in b.support or a not in b.radii:
-        raise ValueError("unknown point or radius")
+    b.ball(x, a)  # refuses an unknown point or radius, even at n = 0
     cur = frozenset({x})
     for _ in range(n):
         cur = b.set_ball(cur, a)
@@ -308,7 +311,7 @@ def cellularization(b: ExplicitBallean) -> ExplicitBallean:
     members = _MaskSets(b.support)
     table = {(x, a): members[m] for a, rows in zip(b.radii, _ball_masks(b))
              for x, m in zip(b.support, _closures(rows))}
-    return ExplicitBallean(b.support, b.radii, table)
+    return ExplicitBallean._canonical(b.support, b.radii, table)
 
 
 def is_cellular(b: ExplicitBallean) -> bool:
@@ -338,11 +341,9 @@ def product_ballean(bs: Sequence[ExplicitBallean]) -> ExplicitBallean:
     """Pointwise product: tuple points, tuple radii, cartesian balls."""
     if not bs:
         raise ValueError("product of an empty list")
-    size = 1
-    for b in bs:
-        size *= len(b.support)
-    if size > PRODUCT_SIZE_LIMIT:
-        raise ValueError("product support exceeds the size limit")
+    cells = math.prod(len(b.support) for b in bs) * math.prod(len(b.radii) for b in bs)
+    if cells > PRODUCT_SIZE_LIMIT:
+        raise ValueError(f"product table has {cells} cells; at most {PRODUCT_SIZE_LIMIT}")
     support = list(itertools.product(*(b.support for b in bs)))
     radii = list(itertools.product(*(b.radii for b in bs)))
     table = {}
@@ -350,7 +351,7 @@ def product_ballean(bs: Sequence[ExplicitBallean]) -> ExplicitBallean:
         for rs in radii:
             factors = [b.ball(x, a) for b, x, a in zip(bs, xs, rs)]
             table[(xs, rs)] = frozenset(itertools.product(*factors))
-    return ExplicitBallean(tuple(support), tuple(radii), table)
+    return ExplicitBallean._canonical(tuple(support), tuple(radii), table)
 
 
 def coproduct_ballean(bs: Sequence[ExplicitBallean]) -> ExplicitBallean:
@@ -364,6 +365,9 @@ def coproduct_ballean(bs: Sequence[ExplicitBallean]) -> ExplicitBallean:
         raise ValueError("coproduct of an empty list")
     if any(None in b.radii for b in bs):
         raise ValueError("a coproduct summand may not have the radius None")
+    cells = sum(len(b.support) for b in bs) * math.prod(len(b.radii) + 1 for b in bs)
+    if cells > PRODUCT_SIZE_LIMIT:
+        raise ValueError(f"coproduct table has {cells} cells; at most {PRODUCT_SIZE_LIMIT}")
     support = [(i, x) for i, b in enumerate(bs) for x in b.support]
     radii = list(itertools.product(*((None,) + tuple(b.radii) for b in bs)))
     table = {}
@@ -375,7 +379,7 @@ def coproduct_ballean(bs: Sequence[ExplicitBallean]) -> ExplicitBallean:
                 else:
                     table[((i, x), rs)] = frozenset(
                         (i, y) for y in b.ball(x, rs[i]))
-    return ExplicitBallean(tuple(support), tuple(radii), table)
+    return ExplicitBallean._canonical(tuple(support), tuple(radii), table)
 
 
 def _exp_balls(rows: list[int], subsets: list[int]) -> tuple[list[int], list[int]]:
@@ -411,8 +415,7 @@ def _exp_tables(b: ExplicitBallean) -> tuple[list[int], list[tuple]]:
 def exp_hyperballean_of(b: ExplicitBallean) -> ExplicitBallean:
     """The hyperballean on all nonempty subsets: Z is within radius a of Y
     iff Z is inside B(Y,a) and Y is inside B(Z,a). Each ball is a bitset of
-    _exp_tables over the subset masks, one frozenset per distinct ball; a
-    table that is not a ball structure raises, as in _ball_masks."""
+    _exp_tables over the subset masks, one frozenset per distinct ball."""
     _, radii = _exp_tables(b)
     n = len(b.support)
     masks = [sum(1 << i for i in c) for size in range(1, n + 1)
@@ -423,7 +426,7 @@ def exp_hyperballean_of(b: ExplicitBallean) -> ExplicitBallean:
     members = _MaskSets(subset_of)  # a hit is one dict lookup, no Python call
     table = {(subset_of[y], a): members[balls[y]]
              for a, (_, _, balls) in zip(b.radii, radii) for y in masks}
-    return ExplicitBallean(tuple(subset_of[m] for m in masks), b.radii, table)
+    return ExplicitBallean._canonical(tuple(subset_of[m] for m in masks), b.radii, table)
 
 
 def exp_power_inclusion_holds(b: ExplicitBallean, max_n: int = 4) -> bool:

@@ -321,13 +321,15 @@ def element_count_mu(parent, a_set, b_set) -> int:
 # explicit balleans and covers
 
 
-def require_ball_structure(b) -> None:
+def require_ball_structure(support, radii, balls) -> None:
     """Raise ValueError("unknown point or radius") unless the table is a
     ball structure: one ball per (point, radius) of support x radii, and
-    every ball a subset of the support."""
-    support = frozenset(b.support)
-    if set(b.balls) != {(x, a) for x in support for a in b.radii} or not all(
-            ball <= support for ball in b.balls.values()):
+    every ball a subset of the support. The reference for the check that
+    `ExplicitBallean` makes at construction, besides repeated points and
+    radii."""
+    points = frozenset(support)
+    if set(balls) != {(x, a) for x in points for a in radii} or not all(
+            ball <= points for ball in balls.values()):
         raise ValueError("unknown point or radius")
 
 
@@ -336,7 +338,6 @@ def exp_hyperballean_reference(b):
     the definition: Z is in the ball of Y at a iff Z ⊆ B(Y, a) and
     Y ⊆ B(Z, a), over every nonempty subset, by size and then in
     combinations order."""
-    require_ball_structure(b)
     subsets = [frozenset(c)
                for size in range(1, len(b.support) + 1)
                for c in itertools.combinations(b.support, size)]
@@ -354,7 +355,6 @@ def cellularization_by_unions(b) -> dict:
     """The ball table of `ballean.cellularization(b)`: at (x, a), {x} and
     the points reached from it, as the fixpoint of Y -> Y ∪ B(Y, a) from
     {x}, one whole `set_ball` per step."""
-    require_ball_structure(b)
     table = {}
     for x in b.support:
         for a in b.radii:
@@ -372,7 +372,6 @@ def validate_by_sets(b):
     order."""
     from balleans.ballean import BalleanValidation
 
-    require_ball_structure(b)
     for x in b.support:
         for a in b.radii:
             if x not in b.ball(x, a):
@@ -397,7 +396,6 @@ def components_by_search(b) -> list:
     """The package's former `ballean.connected_components`: a depth-first
     search from each point not yet seen, through every radius's ball, in
     support order."""
-    require_ball_structure(b)
     seen, out = set(), []
     for x in b.support:
         if x not in seen:
@@ -418,7 +416,6 @@ def exp_power_inclusion_by_sets(b, max_n: int = 4) -> bool:
     reached Z with B^n(Y), and Y with B^n(Z), by repeated `set_ball`."""
     from balleans import ballean
 
-    require_ball_structure(b)
     expb = ballean.exp_hyperballean_of(b)
     for a in b.radii:
         blown = {}  # (subset, n) -> n-fold base ball

@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -51,6 +53,7 @@ from oracles import (
     min_cover_brute,
     min_cover_search,
     mu_two_points_elementary,
+    require_ball_structure,
     validate_by_sets,
 )
 
@@ -100,17 +103,21 @@ class TestValidation:
 
     def test_report_does_not_depend_on_the_hash_seed(self):
         # string points hash differently under each PYTHONHASHSEED, so a
-        # report read off a frozenset walk would change with it
+        # report read off a frozenset walk would change with it; the first
+        # table, whose ball names a point outside the support, is refused
+        # at construction whatever the seed
         script = (
             "from balleans.ballean import ExplicitBallean, validate_ballean\n"
             "t = ExplicitBallean.from_table\n"
-            "for b in (t(('p', 'q'), ('a',), {('p', 'a'): {'p', 'q', 'zz'},\n"
-            "                                 ('q', 'a'): {'q'}}),\n"
-            "          t(('p', 'q', 'r'), ('a',), {('p', 'a'): {'p', 'q', 'r'}})):\n"
+            "for support, balls in ((('p', 'q'), {('p', 'a'): {'p', 'q', 'zz'},\n"
+            "                                     ('q', 'a'): {'q'}}),\n"
+            "                       (('p', 'q', 'r'), {('p', 'a'): {'p', 'q', 'r'}})):\n"
             "    try:\n"
-            "        print(validate_ballean(b).to_json())\n"
+            "        b = t(support, ('a',), balls)\n"
             "    except ValueError as exc:\n"
-            "        print('ValueError:', exc)\n")
+            "        print('ValueError:', exc)\n"
+            "    else:\n"
+            "        print(validate_ballean(b).to_json())\n")
         src = str(Path(__file__).resolve().parent.parent / "src")
         outs = set()
         for seed in range(8):
@@ -170,9 +177,10 @@ class TestBallsAndCellularization:
     def test_cellularization_matches_unions_on_arbitrary_tables(self):
         # every reader of the mask view against its set route in
         # tests/oracles.py, on tables where no axiom need hold: balls may miss
-        # their centre, be asymmetric, name points outside the support, be
-        # missing, or have a key outside support x radii. Where a set route
-        # raises, the mask route raises alike.
+        # their centre or be asymmetric. A table that is no ball structure
+        # (a ball names a point outside the support, is missing, or has a
+        # key outside support x radii) is refused at construction, exactly
+        # where require_ball_structure refuses it.
         routes = {"validate": (validate_ballean, validate_by_sets),
                   "cellularization": (lambda b: cellularization(b).balls,
                                       cellularization_by_unions),
@@ -182,7 +190,14 @@ class TestBallsAndCellularization:
         rng = random.Random(11)
         seen = set()
         for trial in range(600):
-            b = _arbitrary_table(rng, trial)
+            table = _arbitrary_table(rng, trial)
+            max_n = rng.randint(1, 3)
+            b = _outcome(ExplicitBallean, *table)
+            assert _outcome(require_ball_structure, *table) == (
+                b if isinstance(b, str) else None), (trial, table)
+            if isinstance(b, str):
+                seen.add(("construction", b))
+                continue
             for name, (route, reference) in routes.items():
                 want = _outcome(reference, b)
                 assert _outcome(route, b) == want, (trial, name, b)
@@ -192,17 +207,14 @@ class TestBallsAndCellularization:
                     assert got.to_json() == want.to_json(), trial
                     want = want.describe().split()[0]
                 seen.add((name, want if isinstance(want, (bool, str)) else "value"))
-            max_n = rng.randint(1, 3)
             want = _outcome(exp_power_inclusion_by_sets, b, max_n)
             assert _outcome(exp_power_inclusion_holds, b, max_n) == want, (trial, b)
             seen.add(("power", want))
         assert seen == {
-            ("validate", _UNKNOWN), ("validate", "containment"),
+            ("construction", _UNKNOWN), ("validate", "containment"),
             ("validate", "symmetry"), ("validate", "no"), ("validate", "valid"),
-            ("cellularization", _UNKNOWN), ("cellularization", "value"),
-            ("is_cellular", _UNKNOWN), ("is_cellular", True), ("is_cellular", False),
-            ("components", _UNKNOWN), ("components", "value"),
-            ("power", True), ("power", _UNKNOWN)}
+            ("cellularization", "value"), ("is_cellular", True),
+            ("is_cellular", False), ("components", "value"), ("power", True)}
 
 
 _UNKNOWN = "ValueError: unknown point or radius"
@@ -216,11 +228,12 @@ def _outcome(fn, *args):
 
 
 def _arbitrary_table(rng, trial):
-    """A ball table of up to 7 points with no axiom guaranteed. Every other
-    table starts from a reflexive symmetric relation so that symmetry and
-    multiplicativity are reached; then a ball may lose its centre, gain a
-    one-way edge or a point outside the support, its key may be dropped, or
-    a ball may be added at a point or radius outside the table's."""
+    """(support, radii, balls) of up to 7 points with no axiom guaranteed.
+    Every other table starts from a reflexive symmetric relation so that
+    symmetry and multiplicativity are reached; then a ball may lose its
+    centre, gain a one-way edge or a point outside the support, its key may
+    be dropped, or a ball may be added at a point or radius outside the
+    table's."""
     support = list(range(rng.randint(1, 7)))
     if trial % 3 == 0:
         support = [f"p{x}" for x in support]
@@ -250,8 +263,7 @@ def _arbitrary_table(rng, trial):
             table.pop((x, a), None)
         else:
             table[rng.choice([("stray", a), (x, "r9")])] = {x}
-    return ExplicitBallean(tuple(support), tuple(radii),
-                           {k: frozenset(v) for k, v in table.items()})
+    return tuple(support), tuple(radii), {k: frozenset(v) for k, v in table.items()}
 
 
 class TestComponents:
@@ -268,12 +280,23 @@ class TestComponents:
         assert validate_ballean(cop).ok
 
     def test_point_outside_the_support_refused(self):
-        b = ExplicitBallean.from_table([0, 1], ["r"], {(0, "r"): {0, 5}})
-        for reader in (connected_components, validate_ballean, cellularization,
-                       is_cellular, exp_hyperballean_of,
-                       lambda b: exp_power_inclusion_holds(b, 1)):
-            with pytest.raises(ValueError, match="^unknown point or radius$"):
-                reader(b)
+        # refused at construction, so no reader (set_ball, ball_iterate,
+        # product_ballean, to_json, the mask readers) can see the stray
+        # point 5 or 'zz', or drop the extra key ('x', 'a'); stray is what
+        # from_table makes of {('p', 'a'): {'p', 'zz'}}
+        one_way = {(0, "r"): frozenset({0, 5}), (1, "r"): frozenset({1})}
+        stray = {("p", "a"): frozenset({"p", "zz"}), ("q", "a"): frozenset({"q"})}
+        extra = {("p", "a"): frozenset({"p"}), ("q", "a"): frozenset({"q"}),
+                 ("x", "a"): frozenset({"p"})}
+        for support, radii, balls in (((0, 1), ("r",), one_way),
+                                      (("p", "q"), ("a",), stray),
+                                      (("p", "q"), ("a",), extra)):
+            for build in (ExplicitBallean, ExplicitBallean.from_table,
+                          require_ball_structure):
+                with pytest.raises(ValueError, match="^unknown point or radius$"):
+                    build(support, radii, balls)
+        with pytest.raises(ValueError, match="^unknown point or radius$"):
+            ExplicitBallean.from_table(("p", "q"), ("a",), {("p", "a"): {"p", "zz"}})
 
 
 class TestProductCoproduct:
@@ -317,6 +340,85 @@ class TestProductCoproduct:
         with pytest.raises(ValueError):
             product_ballean([big, big])
 
+    def test_table_limit_counts_points_times_radii(self):
+        # PRODUCT_SIZE_LIMIT = 4096 cells, counted before any ball is built;
+        # eight 2-point, 3-radius factors (256 x 6561) once took 11.9 s, and
+        # sixteen 1-point summands (16 x 65536) 4.2 s
+        grid = lambda n, r: discrete_ballean(range(n), radii=range(r))
+        past = [(product_ballean, [grid(17, 241), grid(1, 1)]),  # 4097 cells
+                (product_ballean, [grid(2, 3)] * 8),
+                (coproduct_ballean, [grid(17, 240)]),  # 17 x 241 = 4097
+                (coproduct_ballean, [grid(1, 1)] * 16)]
+        for build, parts in past:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=r"table has \d+ cells; at most 4096$"):
+                build(parts)
+            assert time.perf_counter() - start < 0.1
+        p = product_ballean([bounded_ballean(range(8), radii=range(16)),
+                             bounded_ballean(range(2), radii=range(16))])
+        assert (len(p.support), len(p.radii)) == (16, 256)
+        assert all(len(ball) == 16 for ball in p.balls.values())
+        c = coproduct_ballean([grid(15, 15), grid(1, 15)])
+        assert (len(c.support), len(c.radii), len(c.balls)) == (16, 256, 4096)
+
+
+class TestDerivedTables:
+    # cellularization, exp_hyperballean_of, product_ballean and
+    # coproduct_ballean build their tables without the construction check
+
+    @staticmethod
+    def _inputs(rng):
+        """Ball structures where no axiom need hold, 1 to 5 points and 1 to
+        3 radii, with shared ball objects."""
+        yield discrete_ballean([0])
+        yield bounded_ballean(["x"], radii=["r", "s"])
+        yield bounded_ballean(range(4))  # one ball object under every key
+        yield three_point()
+        for trial in range(60):
+            support, radii, balls = _arbitrary_table(rng, trial)
+            if len(support) <= 5 and _outcome(
+                    require_ball_structure, support, radii, balls) is None:
+                if trial % 4 == 1:  # equal balls become one object
+                    shared = {v: v for v in balls.values()}
+                    balls = {k: shared[v] for k, v in balls.items()}
+                yield ExplicitBallean(support, radii, balls)
+            yield random_ballean(rng, max_size=4)
+
+    def test_derived_tables_pass_the_construction_check(self):
+        rng = random.Random(12)
+        inputs = list(self._inputs(rng))
+        seen = set()
+        for i, b in enumerate(inputs):
+            c = inputs[rng.randrange(len(inputs))]
+            for name, derive in (("cellularization", lambda: cellularization(b)),
+                                 ("exp", lambda: exp_hyperballean_of(b)),
+                                 ("product", lambda: product_ballean([b, c])),
+                                 ("coproduct", lambda: coproduct_ballean([b, c]))):
+                d = derive()
+                require_ball_structure(d.support, d.radii, d.balls)
+                assert ExplicitBallean(d.support, d.radii, d.balls) == d, (i, name)
+                seen.add((name, len(b.support) == 1, len(b.radii) == 1))
+        assert len(seen) == 16
+
+    def test_tables_stay_read_only_after_construction(self):
+        # a table changed after the check would reach the readers unchecked
+        table = {("p", "a"): frozenset({"p"}), ("q", "a"): frozenset({"p", "q"})}
+        b = ExplicitBallean(("p", "q"), ("a",), table)
+        table[("p", "a")] = frozenset({"p", "zz"})  # the caller's dict is not the table
+        del table[("q", "a")]
+        assert b.ball("p", "a") == {"p"} and len(b.balls) == 2
+        for t in (b, ExplicitBallean.from_table(("p", "q"), ("a",), {}),
+                  cellularization(b), exp_hyperballean_of(b),
+                  product_ballean([b, b]), coproduct_ballean([b, b])):
+            key = next(iter(t.balls))
+            with pytest.raises(TypeError):
+                t.balls[key] = frozenset({"zz"})
+            with pytest.raises(TypeError):
+                del t.balls[key]
+            assert pickle.loads(pickle.dumps(t)) == t == copy.deepcopy(t)
+        assert b.set_ball(b.support, "a") == {"p", "q"}
+        assert not validate_ballean(b).ok  # reported (symmetry), not a KeyError
+
 
 class TestExpHyperballean:
     def test_singleton_base(self):
@@ -353,8 +455,9 @@ class TestExpHyperballean:
 
     def test_matches_reference_on_arbitrary_tables(self):
         # no axiom holds: balls may miss their centre, be asymmetric, or
-        # name points outside the support, which both routes refuse; the
-        # table cut down to the support matches
+        # name points outside the support, which construction and
+        # require_ball_structure refuse; the table cut down to the support
+        # matches
         rng = random.Random(5)
         refused = 0
         for trial in range(150):
@@ -369,10 +472,9 @@ class TestExpHyperballean:
                 ExplicitBallean(tuple(support), tuple(radii), inside))
             if inside != table:
                 refused += 1
-                b = ExplicitBallean(tuple(support), tuple(radii), table)
-                for route in (exp_hyperballean_of, exp_hyperballean_reference):
+                for build in (ExplicitBallean, require_ball_structure):
                     with pytest.raises(ValueError, match="^unknown point or radius$"):
-                        route(b)
+                        build(tuple(support), tuple(radii), table)
         assert 0 < refused < 150
 
     def test_matches_reference_on_valid_balleans(self):
@@ -870,6 +972,51 @@ class TestJson:
             again = ExplicitBallean.from_json(json.loads(json.dumps(d.to_json())))
             assert again == d
             assert [type(x) for x in again.support] == [type(x) for x in d.support]
+
+    def test_round_trip_of_arbitrary_valid_tables(self):
+        # valid balleans relabelled with identifiers of mixed types: None,
+        # negative ints, strings, nested tuples and frozensets
+        rng = random.Random(45)
+        atoms = [None, 0, -1, -7, 3, "", "a", "-1"]
+
+        def ident(depth=0):
+            roll = rng.randrange(5 if depth < 2 else 2)
+            if roll < 3:
+                return rng.choice(atoms)
+            kind = tuple if roll == 3 else frozenset
+            return kind(ident(depth + 1) for _ in range(rng.randint(0, 3)))
+
+        def relabel(items):
+            out: dict = {}
+            for x in items:
+                while (y := ident()) in out.values():
+                    pass
+                out[x] = y
+            return out
+
+        def types(x):  # the type tree, members of a frozenset in any order
+            if isinstance(x, tuple):
+                return tuple, list(map(types, x))
+            if isinstance(x, frozenset):
+                return frozenset, sorted(map(repr, map(types, x)))
+            return type(x)
+
+        kinds = set()
+        for trial in range(80):
+            base = random_ballean(rng, max_size=6)
+            if trial % 2:
+                base = cellularization(base)
+            points, radii = relabel(base.support), relabel(base.radii)
+            b = ExplicitBallean(tuple(points.values()), tuple(radii.values()), {
+                (points[x], radii[a]): frozenset(map(points.get, ball))
+                for (x, a), ball in base.balls.items()})
+            again = ExplicitBallean.from_json(json.loads(json.dumps(b.to_json())))
+            assert again == b, trial
+            for got, want in ((again.support, b.support), (again.radii, b.radii),
+                              *((again.balls[k], b.balls[k]) for k in b.balls)):
+                assert types(got) == types(want), trial
+            kinds |= {type(x) for x in b.support + b.radii}
+        assert kinds == {type(None), int, str, tuple, frozenset}
 
     def test_shared_balls_encoded_once_as_per_key(self):
         def per_key(b):  # each ball encoded afresh

@@ -41,6 +41,7 @@ from oracles import (
     coordinate_subgroup_by_closure,
     cyclic_subgroup_tree_by_scan,
     exp_power_inclusion_by_sets,
+    require_ball_structure,
     lz_exp_scan,
     lz_log_scan,
     suite_elemab_per_pair,
@@ -173,14 +174,20 @@ class TestExpPowerInclusion:
             table = {(x, a): frozenset({x} | set(rng.sample(range(size + 2),
                                                             rng.randint(0, 3))))
                      for x in range(size) for a in radii}
-            b = ExplicitBallean(tuple(range(size)), radii, table)
             outside = any(m >= size for ball in table.values() for m in ball)
+            try:  # a table whose balls leave the support is refused when built
+                b = ExplicitBallean(tuple(range(size)), radii, table)
+            except ValueError as exc:
+                assert outside, table
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    require_ball_structure(tuple(range(size)), radii, table)
+                outcomes.add(f"ValueError: {exc}")
+                continue
+            assert not outside, table
             for max_n in range(1, 5):
                 got = _outcome(exp_power_inclusion_holds, b, max_n)
                 assert got == _outcome(exp_power_inclusion_by_sets, b, max_n), \
                     (table, max_n)
-                raised = got == "ValueError: unknown point or radius"
-                assert raised == outside, (table, max_n)
                 outcomes.add(got)
         assert outcomes == {True, "ValueError: unknown point or radius"}
 
