@@ -13,6 +13,7 @@ environment variable (default: natural log).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -338,7 +339,12 @@ def _cmd_verify(args) -> list:
     else:
         if options and "max_coord" not in SUITES[args.suite][1]:
             raise UsageError(f"suite {args.suite} takes no --max-coord")
-        reports = [run_suite(args.suite, seed=args.seed, **options)]
+        try:
+            reports = [run_suite(args.suite, seed=args.seed, **options)]
+        except ValueError as e:
+            if options:  # the grid --max-coord spans passes GRID_LIMIT
+                raise UsageError(str(e)) from None
+            raise
     return [r.to_json() for r in reports]
 
 
@@ -374,10 +380,13 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
     """The parser of every command, or of the command `only` alone. Then the
     metavar names every command as argparse would, so the usage line of an
-    "unrecognized arguments" error reads the same."""
+    "unrecognized arguments" error reads the same. Each is built once per
+    process: parsing keeps no state in a parser, and argparse reads COLUMNS
+    afresh for every help and usage text it formats."""
     parser = argparse.ArgumentParser(
         prog="balleans", description="Exact coarse geometry on subgroup lattices.")
     sub = parser.add_subparsers(dest="command", required=True,
@@ -392,7 +401,7 @@ def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     # a known command builds only its own parser, as all eight take most of
-    # a small query's time; anything else builds them all, as it always did
+    # a one-shot query's time; anything else builds them all, as it always did
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import pathlib
@@ -253,6 +254,15 @@ class TestOtherCommands:
         assert run() == 2
 
 
+def _fresh_full_parser_prints(capsys, argv):
+    """Exit code, stdout and stderr of argv on a newly built parser of every
+    command, as `run` reports them."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as stop:
+        _build_parser.__wrapped__().parse_args(argv)
+    return (2 if stop.value.code else 0, *capsys.readouterr())
+
+
 class TestOneCommandParser:
     """`run` builds the parser of the command it is given and no other;
     argparse's help and errors must read as with every command's parser."""
@@ -280,10 +290,8 @@ class TestOneCommandParser:
     @pytest.mark.parametrize("argv", ARGVS, ids=lambda a: " ".join(a) or "none")
     def test_prints_what_the_full_parser_prints(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")
-        got = (run(argv), *capsys.readouterr())
-        with pytest.raises(SystemExit) as stop:
-            _build_parser().parse_args(argv)
-        assert got == (2 if stop.value.code else 0, *capsys.readouterr())
+        assert _fresh_full_parser_prints(capsys, argv) == \
+            (run(argv), *capsys.readouterr())
 
     def test_builds_one_parser_for_a_known_command(self, capsys, monkeypatch):
         built = []
@@ -296,6 +304,62 @@ class TestOneCommandParser:
         with pytest.raises(SystemExit):  # mu's parser alone knows no dist
             _build_parser("mu").parse_args(["dist", "--group", "Z",
                                             "--sub", "2Z", "--sub", "3Z"])
+
+
+class TestCachedParsers:
+    """Each parser `run` uses is built once per process and reused."""
+
+    def test_each_parser_built_at_most_once(self, capsys, monkeypatch, tmp_path):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
+        keys = [*cli._COMMANDS, None]
+        fresh = 0  # constructions in building each of them once
+        for only in keys:
+            _build_parser.__wrapped__(only)
+            fresh, built[:] = fresh + len(built), []
+        cli._build_parser.cache_clear()
+        argvs = argv_per_command(tmp_path) + [[], ["--help"], ["frobnicate"],
+                                              ["dist", "--help"], ["mu", "--set"]]
+        for i in range(100):
+            run(argvs[i % len(argvs)])
+        capsys.readouterr()
+        assert len(built) == fresh
+        assert cli._build_parser.cache_info().currsize == len(keys)
+        for argv in argvs:
+            run(argv)
+        assert len(built) == fresh
+
+    def test_help_and_errors_follow_columns(self, capsys, monkeypatch):
+        argvs = [["dist", "--help"], ["--help"], ["dist", "--group", "Z"]]
+        parsers = [_build_parser("dist"), _build_parser(None)]
+        seen = set()
+        for columns in ("200", "40", "80"):
+            monkeypatch.setenv("COLUMNS", columns)
+            outputs = tuple((run(argv), *capsys.readouterr()) for argv in argvs)
+            assert outputs == tuple(_fresh_full_parser_prints(capsys, argv)
+                                    for argv in argvs), columns
+            seen.add(outputs)
+        assert len(seen) == 3  # each width reads differently
+        assert _build_parser("dist") is parsers[0] and _build_parser(None) is parsers[1]
+
+    def test_error_leaves_next_call_unchanged(self, capsys):
+        valid = [["dist", "--group", "Z", "--sub", "2Z", "--sub", "3Z"],
+                 ["mu", "--group", "Z(6)", "--set", "{0}", "--set", "{0,3}"]]
+        before = [(run(argv), *capsys.readouterr()) for argv in valid]
+        for bad in (["dist", "--group", "Z", "--sub", "5Z", "--frob"],
+                    ["dist", "--sub", "5Z", "--base", "e"],
+                    ["mu", "--group", "Z(6)", "--set", "{1}", "--set", "{2}",
+                     "--set"],
+                    ["mu", "--set", "{1}", "--base", "two"]):
+            assert run(bad) == 2
+            capsys.readouterr()
+            assert [(run(argv), *capsys.readouterr()) for argv in valid] == before
 
 
 class TestExitCodes:
@@ -369,6 +433,15 @@ class TestExitCodes:
     def test_usage_error_option_the_suite_lacks(self, capsys):
         assert run(["verify", "--suite", "tree", "--max-coord", "3"]) == 2
         assert run(["verify", "--suite", "all", "--max-coord", "3"]) == 2
+
+    @pytest.mark.parametrize("suite, value", [("hamming", "19"), ("iota", "256"),
+                                              ("iota", "99999")])
+    def test_usage_error_grid_past_the_limit(self, capsys, suite, value):
+        start = time.perf_counter()
+        assert run(["verify", "--suite", suite, "--max-coord", value]) == 2
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and "GRID_LIMIT allows at most 65536" in err
 
     @pytest.mark.parametrize("suite, value", [("iota", "0"), ("hamming", "-3")])
     def test_usage_error_max_coord_below_one(self, capsys, suite, value):

@@ -400,6 +400,29 @@ class TestSuites:
         assert suites.suite_iota(max_coord=1).samples > 0
         assert suites.suite_hamming(max_coord=1).samples > 0
 
+    # the largest grid each suite admits: 256^2 = 65536 points for iota, and
+    # 19^2 = 361 points, so 361 * 362 / 2 = 65341 pairs, for hamming
+    @pytest.mark.parametrize("suite, at_limit, samples", [
+        (suites.suite_iota, 255, 300), (suites.suite_hamming, 18, 65341)])
+    def test_grid_at_the_limit_in_seconds(self, suite, at_limit, samples):
+        assert suites.GRID_LIMIT == 65536
+        start = time.perf_counter()
+        report = suite(max_coord=at_limit)
+        assert time.perf_counter() - start < 5.0
+        assert report.ok and report.samples == samples
+
+    @pytest.mark.parametrize("suite, past_limit, count", [
+        (suites.suite_iota, 256, "66049 points"),
+        (suites.suite_hamming, 19, "80200 pairs"),
+        # 10^10 points, which would take hours to build
+        (suites.suite_iota, 99999, "10000000000 points")])
+    def test_grid_past_the_limit_refused(self, suite, past_limit, count):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"has {count}; GRID_LIMIT allows "
+                                             f"at most 65536"):
+            suite(max_coord=past_limit)
+        assert time.perf_counter() - start < 1.0
+
     def test_suite_registry(self):
         assert set(SUITES) == {"iota", "hamming", "elemab", "tree", "lzball",
                                "mu-index", "cellular", "axioms"}
@@ -504,8 +527,10 @@ class TestFanOut:
         *((name, seed) for name in ("cellular", "axioms")
           for seed in (0, 1, 7, 1003))])
     def test_reports_equal_on_one_and_two_cores(self, cores, name, seed):
+        # lzball runs in-process on any number of cores: forking costs it
+        # more than it saves
         reports = []
-        for n, forked in ((1, False), (2, True)):
+        for n, forked in ((1, False), (2, name != "lzball")):
             cores(n)
             reports.append(suites.run_suite(name, seed))
             assert bool(cores.forks) == forked
