@@ -93,11 +93,11 @@ def parse_subgroup(expr: str, ctx: GroupCtx):
             return PruferSubgroup(p, None)
         if s.startswith("H_"):
             body = s[2:]
-            level_str, _, p_str = body.partition("@")
+            level_str, at, p_str = body.partition("@")
             level = _parse_int(level_str, "level")
             if level < 0:
                 raise UsageError("level must be >= 0")
-            if p_str and _parse_int(p_str, "prime") != p:
+            if at and _parse_int(p_str, "prime") != p:
                 raise UsageError("subgroup prime differs from group context")
             return PruferSubgroup(p, level)
         raise UsageError(f"cannot parse subgroup {expr!r} in a divisible chain")
@@ -381,12 +381,14 @@ _COMMANDS = {
 
 
 @functools.cache
-def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of the command `only` alone. Then the
-    metavar names every command as argparse would, so the usage line of an
-    "unrecognized arguments" error reads the same. Each is built once per
-    process: parsing keeps no state in a parser, and argparse reads COLUMNS
-    afresh for every help and usage text it formats."""
+def _build_parser(only: Optional[str] = None) -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser with every command, or with the command `only`
+    alone, and the map from each command's name to its own parser. `run`
+    parses a known command with that parser in one pass, and the top-level
+    parser reports what is left over; its metavar names every command, so
+    that usage line reads as argparse's own. Each is built once per process:
+    parsing keeps no state in a parser, and argparse reads COLUMNS afresh
+    for every help and usage text it formats."""
     parser = argparse.ArgumentParser(
         prog="balleans", description="Exact coarse geometry on subgroup lattices.")
     sub = parser.add_subparsers(dest="command", required=True,
@@ -396,16 +398,24 @@ def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
             p = sub.add_parser(name, help=help_text)
             for flag, kwargs in options:
                 p.add_argument(flag, **kwargs)
-    return parser
+    return parser, sub.choices
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     # a known command builds only its own parser, as all eight take most of
-    # a one-shot query's time; anything else builds them all, as it always did
+    # a one-shot query's time, and that parser reads argv[1:] in one pass;
+    # anything else builds them all and goes through the top-level parser
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    name = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser, commands = _build_parser(name)
     try:
-        args = parser.parse_args(argv)
+        if name is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extra = commands[name].parse_known_args(argv[1:])
+            if extra:
+                parser.error("unrecognized arguments: " + " ".join(extra))
+            args.command = name
     except SystemExit as e:
         return 2 if e.code else 0
     try:

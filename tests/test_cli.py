@@ -259,7 +259,7 @@ def _fresh_full_parser_prints(capsys, argv):
     command, as `run` reports them."""
     capsys.readouterr()
     with pytest.raises(SystemExit) as stop:
-        _build_parser.__wrapped__().parse_args(argv)
+        _build_parser.__wrapped__()[0].parse_args(argv)
     return (2 if stop.value.code else 0, *capsys.readouterr())
 
 
@@ -285,13 +285,33 @@ class TestOneCommandParser:
               "--base", "two"],
              # errors the top-level parser reports, with its usage line
              ["dist", "--group", "Z", "--sub", "2Z", "--sub", "3Z", "--frob"],
-             ["saturate", "--group", "Z", "--sub", "2Z", "extra"]]
+             ["saturate", "--group", "Z", "--sub", "2Z", "extra"],
+             # shapes where one pass by the command's parser could read
+             # differently from the top-level pass that hands it argv[1:]
+             ["dist", "--group=Z", "--sub", "2Z", "--sub", "3Z", "--frob"],
+             ["dist", "--gro", "Z", "--sub", "2Z", "--sub", "3Z", "x"],
+             ["saturate", "--group", "Z", "--group", "Z^2", "--sub", "2Z", "x"],
+             ["dist", "--", "--group", "Z"], ["dist", "--group", "Z", "-h"],
+             ["verify", "--seed", "-3", "--frob"], ["dist", "extra", "--group", "Z"],
+             ["dist", "-x", "--group", "Z", "--sub", "1Z", "--sub", "2Z"],
+             ["verify", "--suite", "tree", "--", "x"]]
 
     @pytest.mark.parametrize("argv", ARGVS, ids=lambda a: " ".join(a) or "none")
     def test_prints_what_the_full_parser_prints(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")
         assert _fresh_full_parser_prints(capsys, argv) == \
             (run(argv), *capsys.readouterr())
+
+    def test_one_parse_pass_for_a_known_command(self, capsys, monkeypatch, tmp_path):
+        passes = []
+        real = argparse.ArgumentParser.parse_known_args
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            lambda self, *a, **kw: (passes.append(self.prog)
+                                                    or real(self, *a, **kw)))
+        for argv in argv_per_command(tmp_path):
+            passes.clear()
+            assert run(argv) == 0, argv
+            assert passes == [f"balleans {argv[0]}"], argv
 
     def test_builds_one_parser_for_a_known_command(self, capsys, monkeypatch):
         built = []
@@ -302,8 +322,8 @@ class TestOneCommandParser:
             run(argv)
         assert built == ["saturate", None, None, None, None]
         with pytest.raises(SystemExit):  # mu's parser alone knows no dist
-            _build_parser("mu").parse_args(["dist", "--group", "Z",
-                                            "--sub", "2Z", "--sub", "3Z"])
+            _build_parser("mu")[0].parse_args(["dist", "--group", "Z",
+                                               "--sub", "2Z", "--sub", "3Z"])
 
 
 class TestCachedParsers:
@@ -378,6 +398,11 @@ class TestExitCodes:
     def test_usage_error_prime_mismatch(self, capsys):
         assert run(["dist", "--group", "prufer@3", "--sub", "H_1@5",
                     "--sub", "H_2@3"]) == 2
+        # an "@" with no prime after it names no prime, not the group's
+        capsys.readouterr()
+        assert run(["dist", "--group", "prufer@2", "--sub", "H_1@",
+                    "--sub", "H_1"]) == 2
+        assert capsys.readouterr().err == "usage error: cannot parse prime: ''\n"
 
     def test_usage_error_non_prime_prufer(self, capsys):
         assert run(["dist", "--group", "prufer@4", "--sub", "H_1",
