@@ -14,10 +14,10 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
+from ._values import value_class
 from .groups import FiniteAbelianGroup
 from .lattices import ExtNat
 
@@ -30,7 +30,7 @@ PRODUCT_SIZE_LIMIT = 4096  # cells, points x radii, of a product or coproduct ta
 ZERO_ONE = bytes.maketrans(b"01", b"\0\1")  # '0'/'1' digits to falsy/truthy bytes
 
 
-@dataclass(frozen=True)
+@value_class
 class ExplicitBallean:
     """A finite ballean given by its full ball table.
 
@@ -188,8 +188,10 @@ def bounded_ballean(support: Iterable[Point],
 # axioms
 
 
-@dataclass(frozen=True)
+@value_class
 class BalleanValidation:
+    """The outcome of validate_ballean: ok, or the first axiom violation found."""
+
     ok: bool
     containment_violation: Optional[tuple] = None      # (x, radius)
     symmetry_violation: Optional[tuple] = None         # (x, y, radius)
@@ -458,7 +460,7 @@ def exp_power_inclusion_holds(b: ExplicitBallean, max_n: int = 4) -> bool:
 # finite subsets of concrete groups
 
 
-@dataclass(frozen=True)
+@value_class
 class ZWindow:
     """The integers restricted to a working window [-half_width, half_width].
 
@@ -493,7 +495,7 @@ class ZWindow:
 Parent = Union[FiniteAbelianGroup, ZWindow]
 
 
-@dataclass(frozen=True)
+@value_class
 class FiniteSubset:
     """A nonempty finite subset of a finite abelian group or of a window
     of the integers; the points of the exp-hyperballean."""
@@ -764,7 +766,7 @@ def _translate_cover_masks(parent: Parent, base: frozenset,
     return out
 
 
-@dataclass(frozen=True)
+@value_class
 class MuReport:
     """Both variants of the covering distance between nonempty subsets.
 
@@ -828,7 +830,7 @@ def mu_report(y: FiniteSubset, z: FiniteSubset) -> MuReport:
 # Hamming points
 
 
-@dataclass(frozen=True)
+@value_class
 class HammingPoint:
     """A finitely supported point of the Hamming space over an index set."""
 

@@ -89,18 +89,18 @@ def parse_subgroup(expr: str, ctx: GroupCtx):
     s = expr.strip()
     if isinstance(ctx, tuple) and ctx[0] == "prufer":
         p = ctx[1]
-        if s == f"whole@{p}" or s == "whole":
-            return PruferSubgroup(p, None)
-        if s.startswith("H_"):
-            body = s[2:]
-            level_str, at, p_str = body.partition("@")
-            level = _parse_int(level_str, "level")
+        name, at, p_str = s.partition("@")
+        if name == "whole":
+            level = None
+        elif name.startswith("H_"):
+            level = _parse_int(name[2:], "level")
             if level < 0:
                 raise UsageError("level must be >= 0")
-            if at and _parse_int(p_str, "prime") != p:
-                raise UsageError("subgroup prime differs from group context")
-            return PruferSubgroup(p, level)
-        raise UsageError(f"cannot parse subgroup {expr!r} in a divisible chain")
+        else:
+            raise UsageError(f"cannot parse subgroup {expr!r} in a divisible chain")
+        if at and _parse_int(p_str, "prime") != p:
+            raise UsageError("subgroup prime differs from group context")
+        return PruferSubgroup(p, level)
     if isinstance(ctx, int):
         if s.endswith("Z"):
             k = _parse_int(s[:-1] or "1", "multiplier")

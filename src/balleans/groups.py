@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
+from ._values import value_class
 from .exactmat import _extend, divisibility_chain
 from .lattices import (
     ExtNat,
@@ -32,7 +32,7 @@ from .lattices import (
 # finite abelian groups and their subgroups
 
 
-@dataclass(frozen=True)
+@value_class
 class FiniteAbelianGroup:
     """Z(m1) ⊕ ... ⊕ Z(mk) with the divisibility chain m1 | m2 | ... | mk.
 
@@ -103,7 +103,7 @@ class FiniteAbelianGroup:
         return math.lcm(*(m // math.gcd(c, m) for c, m in zip(x, self.invariant_factors)))
 
 
-@dataclass(frozen=True)
+@value_class
 class FAGSubgroup:
     """A subgroup of a finite abelian group, held as its lift in Z^k."""
 
@@ -222,7 +222,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@value_class
 class PruferSubgroup:
     """A subgroup of the Pruefer p-group: the chain member of order p^level,
     or the whole group when level is None."""
@@ -257,7 +257,7 @@ def prufer_log_distance(a: PruferSubgroup, b: PruferSubgroup) -> ExtNat:
 # symbolic cardinals and group descriptors
 
 
-@dataclass(frozen=True)
+@value_class
 class CardinalToken:
     """0, 1, 2, ..., omega, or 2^kappa, symbolically.
 
@@ -330,7 +330,7 @@ ZERO = CardinalToken.finite(0)
 OMEGA = CardinalToken.omega()
 
 
-@dataclass(frozen=True)
+@value_class
 class ReducedTorsionPart:
     """The reduced p-torsion part of a group: a finite group of known order,
     an infinite group whose n-torsion layers are all finite, or one with an
@@ -357,7 +357,7 @@ class ReducedTorsionPart:
         return cls(data.get("kind"), data.get("order"))
 
 
-@dataclass(frozen=True)
+@value_class
 class GroupDescriptor:
     """Structure of an abelian group G: reduced free rank, the divisible part
     d(G) (rationals multiplicity plus Pruefer multiplicities per prime), and
@@ -463,8 +463,10 @@ def descriptor_finite_sylow(orders: dict[int, int]) -> GroupDescriptor:
 # classification
 
 
-@dataclass(frozen=True)
+@value_class
 class IsoPointsReport:
+    """How many isolated subgroups a group has, and why."""
+
     size: CardinalToken
     witness: str
 
@@ -492,7 +494,7 @@ def iso_points_classify(d: GroupDescriptor) -> IsoPointsReport:
                            "a divisible subgroup per subspace of the rational part")
 
 
-@dataclass(frozen=True)
+@value_class
 class AsdimReport:
     """Honest output lattice of the asymptotic-dimension classifier."""
 
@@ -552,8 +554,10 @@ def asdim_classify(d: GroupDescriptor) -> AsdimReport:
 # connected-component census
 
 
-@dataclass(frozen=True)
+@value_class
 class ComponentCensus:
+    """How many connected components a family's ballean has, and which."""
+
     family: str
     count: CardinalToken
     detail: str

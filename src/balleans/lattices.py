@@ -9,15 +9,15 @@ applied only at display time, with a configurable base.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import total_ordering
 from typing import Optional, Sequence, Union
 
 from . import exactmat
+from ._values import value_class
 
 
 @total_ordering
-@dataclass(frozen=True)
+@value_class
 class ExtNat:
     """An element of {1, 2, 3, ...} ∪ {∞}; `value` is None for infinity."""
 
@@ -72,7 +72,7 @@ class ExtNat:
 INFINITE = ExtNat.infinity()
 
 
-@dataclass(frozen=True)
+@value_class
 class Lattice:
     """A subgroup of Z^ambient with `basis` in canonical row HNF.
 

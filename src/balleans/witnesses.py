@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from ._values import value_class
 from .ballean import LZ_ENUMERATION_LIMIT, HammingPoint, _union
 from .groups import FAGSubgroup, FiniteAbelianGroup, _is_prime, fag_log_distance
 from .lattices import ExtNat, Lattice, lattice_from_generators, member
@@ -23,7 +23,7 @@ from .lattices import ExtNat, Lattice, lattice_from_generators, member
 # prime-exponent tuples in the subgroup space of Z
 
 
-@dataclass(frozen=True)
+@value_class
 class PrimeTuple:
     """Distinct primes p1 < ... < pn with a display log base <= min prime."""
 
@@ -46,7 +46,7 @@ class PrimeTuple:
         return len(self.primes)
 
 
-@dataclass(frozen=True)
+@value_class
 class TaxiPoint:
     """A tuple of natural exponents, measured in the taxi metric."""
 
@@ -93,7 +93,7 @@ def dlog_closed_form(pt: PrimeTuple, m: TaxiPoint, mp: TaxiPoint) -> ExtNat:
     return ExtNat.finite(max(up, down))
 
 
-@dataclass(frozen=True)
+@value_class
 class VerificationReport:
     """Outcome of a verification sweep; violations mean failure."""
 
@@ -218,7 +218,7 @@ def _coordinate_subgroup(parent: FiniteAbelianGroup, idx: frozenset,
 # cyclic-subgroup trees of finite p-groups
 
 
-@dataclass(frozen=True)
+@value_class
 class TreeCertificate:
     """The graph of cyclic subgroups with index-p containment edges."""
 

@@ -403,6 +403,20 @@ class TestExitCodes:
         assert run(["dist", "--group", "prufer@2", "--sub", "H_1@",
                     "--sub", "H_1"]) == 2
         assert capsys.readouterr().err == "usage error: cannot parse prime: ''\n"
+        # the whole group's prime is read as H_n@p's is
+        for sub in ("whole@5", "whole@"):
+            assert run(["dist", "--group", "prufer@3", "--sub", sub,
+                        "--sub", "H_1"]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: subgroup prime differs from group context\n"
+            "usage error: cannot parse prime: ''\n")
+
+    def test_whole_group_prime_read_as_an_integer(self, capsys):
+        for sub in ("whole@03", "whole@ 3", "whole@3", "whole"):
+            assert run_json(capsys, ["dist", "--group", "prufer@3", "--sub", sub,
+                                     "--sub", "H_1"]) == \
+                (0, {"mu": "inf", "log": "inf", "base": math.e}), sub
+        assert parse_subgroup("whole@03", ("prufer", 3)) == PruferSubgroup(3, None)
 
     def test_usage_error_non_prime_prufer(self, capsys):
         assert run(["dist", "--group", "prufer@4", "--sub", "H_1",
