@@ -38,9 +38,9 @@ def value_class(cls: type) -> type:
     class-level value is that field's default. `__init__` takes the fields
     positionally or by keyword, then calls `__post_init__` if the class has
     one. Instances of the same class are equal when their field tuples are,
-    hash as that tuple, print as `Qualname(field=value!r, ...)`, and refuse
-    assignment and deletion; the class's own code sets a field with
-    `object.__setattr__`.
+    hash as that tuple unless the class defines `__hash__`, print as
+    `Qualname(field=value!r, ...)`, and refuse assignment and deletion; the
+    class's own code sets a field with `object.__setattr__`.
     """
     names = tuple(cls.__annotations__)
     defaults = {f"_d_{n}": cls.__dict__[n] for n in names if n in cls.__dict__}
@@ -53,7 +53,10 @@ def value_class(cls: type) -> type:
         sets="\n".join(sets),
         mine="".join(f"self.{n}, " for n in names),
         theirs="".join(f"other.{n}, " for n in names)), namespace)
-    for method in ("__init__", "__eq__", "__hash__"):  # TypeError texts name the class
+    methods = ["__init__", "__eq__"]
+    if cls.__dict__.get("__hash__") is None:  # the class body's own stays, as with dataclass
+        methods.append("__hash__")
+    for method in methods:  # TypeError texts name the class
         fn = namespace[method]
         fn.__qualname__ = f"{cls.__qualname__}.{method}"
         setattr(cls, method, fn)

@@ -57,6 +57,9 @@ class ExplicitBallean:
             raise ValueError("unknown point or radius")
         object.__setattr__(self, "balls", MappingProxyType(balls))
 
+    def __hash__(self) -> int:  # a read-only view does not hash; equal tables share these
+        return hash((self.support, self.radii))
+
     def __reduce__(self):  # a read-only view does not pickle; rebuild through the check
         return type(self), (self.support, self.radii, dict(self.balls))
 

@@ -12,12 +12,12 @@ environment variable (default: natural log).
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import os
 import sys
+import types
 from typing import Optional, Sequence, Union
 
 from .ballean import FiniteSubset, exp_ball_enumerate_centered_identity, mu_report
@@ -380,6 +380,38 @@ _COMMANDS = {
 }
 
 
+def _fast_args(name: str, rest: Sequence[str]) -> Optional[types.SimpleNamespace]:
+    """The namespace `name`'s own parser would give for `rest`, built straight
+    from its `_COMMANDS` entry, when rest is only `--flag value` pairs of the
+    command's own option strings, no value starts with "-", each converts by
+    its `type` and lies in its `choices`, and every required flag is given;
+    None for anything else, which argparse reads as before."""
+    if len(rest) % 2:
+        return None
+    options = dict(_COMMANDS[name][2])
+    given: dict[str, list] = {}
+    for flag, value in zip(rest[::2], rest[1::2]):
+        kwargs = options.get(flag)
+        if kwargs is None or value[:1] == "-":
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        given.setdefault(flag, []).append(value)
+    if any(kw.get("required") and flag not in given for flag, kw in options.items()):
+        return None
+    fields = {}
+    for flag, kwargs in options.items():  # argparse's dest, default and action
+        default, values = kwargs.get("default"), given.get(flag)
+        if values and kwargs.get("action") == "append":
+            values = [[*(default or ()), *values]]
+        fields[flag[2:].replace("-", "_")] = values[-1] if values else default
+    return types.SimpleNamespace(**fields, command=name)
+
+
 @functools.cache
 def _build_parser(only: Optional[str] = None) -> tuple[argparse.ArgumentParser, dict]:
     """The top-level parser with every command, or with the command `only`
@@ -389,6 +421,8 @@ def _build_parser(only: Optional[str] = None) -> tuple[argparse.ArgumentParser, 
     that usage line reads as argparse's own. Each is built once per process:
     parsing keeps no state in a parser, and argparse reads COLUMNS afresh
     for every help and usage text it formats."""
+    import argparse  # with gettext, a few ms of a one-shot query that needs neither
+
     parser = argparse.ArgumentParser(
         prog="balleans", description="Exact coarse geometry on subgroup lattices.")
     sub = parser.add_subparsers(dest="command", required=True,
@@ -402,22 +436,25 @@ def _build_parser(only: Optional[str] = None) -> tuple[argparse.ArgumentParser, 
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    # a known command builds only its own parser, as all eight take most of
-    # a one-shot query's time, and that parser reads argv[1:] in one pass;
-    # anything else builds them all and goes through the top-level parser
+    # a well-formed query of a known command needs no parser; any other argv
+    # of a known command builds only that command's parser, which reads
+    # argv[1:] in one pass; anything else builds them all and goes through
+    # the top-level parser, so argparse writes every help and error text
     argv = sys.argv[1:] if argv is None else list(argv)
     name = argv[0] if argv and argv[0] in _COMMANDS else None
-    parser, commands = _build_parser(name)
-    try:
-        if name is None:
-            args = parser.parse_args(argv)
-        else:
-            args, extra = commands[name].parse_known_args(argv[1:])
-            if extra:
-                parser.error("unrecognized arguments: " + " ".join(extra))
-            args.command = name
-    except SystemExit as e:
-        return 2 if e.code else 0
+    args = name and _fast_args(name, argv[1:])
+    if args is None:
+        parser, commands = _build_parser(name)
+        try:
+            if name is None:
+                args = parser.parse_args(argv)
+            else:
+                args, extra = commands[name].parse_known_args(argv[1:])
+                if extra:
+                    parser.error("unrecognized arguments: " + " ".join(extra))
+                args.command = name
+        except SystemExit as e:
+            return 2 if e.code else 0
     try:
         payload = _COMMANDS[args.command][1](args)
         # serialized in full before writing, so a refused value leaves no

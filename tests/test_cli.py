@@ -1,12 +1,17 @@
 import argparse
+import contextlib
+import io
 import json
 import math
+import os
 import pathlib
 import random
+import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balleans import cli, suites
 from balleans.cli import (
@@ -254,6 +259,11 @@ class TestOtherCommands:
         assert run() == 2
 
 
+def equals_spelling(argv):
+    """argv's `--flag value` pairs as `--flag=value`, which argparse reads."""
+    return [argv[0], *(f"{f}={v}" for f, v in zip(argv[1::2], argv[2::2]))]
+
+
 def _fresh_full_parser_prints(capsys, argv):
     """Exit code, stdout and stderr of argv on a newly built parser of every
     command, as `run` reports them."""
@@ -303,21 +313,28 @@ class TestOneCommandParser:
             (run(argv), *capsys.readouterr())
 
     def test_one_parse_pass_for_a_known_command(self, capsys, monkeypatch, tmp_path):
+        # a well-formed argv makes no pass; its --flag=value spelling makes
+        # one, by the command's own parser, and prints the same
         passes = []
         real = argparse.ArgumentParser.parse_known_args
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
                             lambda self, *a, **kw: (passes.append(self.prog)
                                                     or real(self, *a, **kw)))
         for argv in argv_per_command(tmp_path):
-            passes.clear()
-            assert run(argv) == 0, argv
-            assert passes == [f"balleans {argv[0]}"], argv
+            outputs = []
+            for spelling, want in ((argv, []), (equals_spelling(argv), [f"balleans {argv[0]}"])):
+                passes.clear()
+                outputs.append((run(spelling), *capsys.readouterr()))
+                assert passes == want, spelling
+            assert outputs[0] == outputs[1] and outputs[0][0] == 0, argv
 
     def test_builds_one_parser_for_a_known_command(self, capsys, monkeypatch):
         built = []
         monkeypatch.setattr(cli, "_build_parser", lambda only=None: (
             built.append(only) or _build_parser(only)))
         run(["saturate", "--group", "Z^2", "--sub", "span[(2,4)]"])
+        assert built == []
+        run(["saturate", "--group=Z^2", "--sub=span[(2,4)]"])
         for argv in ([], ["--help"], ["frobnicate"], ["--", "saturate"]):
             run(argv)
         assert built == ["saturate", None, None, None, None]
@@ -344,8 +361,12 @@ class TestCachedParsers:
             _build_parser.__wrapped__(only)
             fresh, built[:] = fresh + len(built), []
         cli._build_parser.cache_clear()
-        argvs = argv_per_command(tmp_path) + [[], ["--help"], ["frobnicate"],
-                                              ["dist", "--help"], ["mu", "--set"]]
+        well_formed = argv_per_command(tmp_path)
+        for argv in well_formed:
+            run(argv)
+        assert built == [] and cli._build_parser.cache_info().currsize == 0
+        argvs = well_formed + [equals_spelling(argv) for argv in well_formed] + [
+            [], ["--help"], ["frobnicate"], ["dist", "--help"], ["mu", "--set"]]
         for i in range(100):
             run(argvs[i % len(argvs)])
         capsys.readouterr()
@@ -380,6 +401,76 @@ class TestCachedParsers:
             assert run(bad) == 2
             capsys.readouterr()
             assert [(run(argv), *capsys.readouterr()) for argv in valid] == before
+
+
+def _own_parser_vars(name, rest):
+    """vars() of what `name`'s own parser reads from rest, with the command
+    as `run` sets it; None where argparse exits or leaves arguments over."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args, extra = _build_parser(name)[1][name].parse_known_args(rest)
+        except SystemExit:
+            return None
+    return None if extra else {**vars(args), "command": name}
+
+
+VALUES = st.one_of(
+    st.sampled_from(["0", "3", "-3", "07", " 5", "1.5", "-1.5", "1e3", "nan", "NaN",
+                     "-nan", "inf", "-", "", "x", "--", "2Z", "3Z", "Z", "Z(6)", "{0}",
+                     *(c for _, (_, _, opts) in cli._COMMANDS.items()
+                       for _, kw in opts for c in kw.get("choices", ())), "LZ", "al"]),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.text(max_size=3))
+
+
+@st.composite
+def command_argv(draw):
+    """A command and an argv tail drawn from its flags, their abbreviations and
+    --flag=value spellings, foreign flags, and values valid and not."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    flags = [flag for flag, _ in cli._COMMANDS[name][2]]
+    token = st.one_of(
+        st.sampled_from(flags),
+        st.sampled_from([f[:k] for f in flags for k in range(3, len(f))] or flags),
+        st.builds("{}={}".format, st.sampled_from(flags), VALUES),
+        st.sampled_from(["--frob", "-h", "--help", "--", "-x", "--seed", "--group"]),
+        VALUES)
+    pairs = st.lists(st.tuples(st.sampled_from(flags), VALUES), max_size=4).map(
+        lambda ps: [t for p in ps for t in p])
+    return name, draw(st.one_of(st.lists(token, max_size=8), pairs))
+
+
+class TestFastArgs:
+    """`_fast_args` reads a well-formed argv as the command's own parser does
+    and declines the rest, which argparse then reads."""
+
+    @given(command_argv())
+    @settings(max_examples=600, deadline=None)
+    def test_none_or_what_the_command_parser_reads(self, drawn):
+        name, rest = drawn
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            fast = cli._fast_args(name, rest)
+        assert out.getvalue() == err.getvalue() == ""
+        if fast is not None:  # repr, as nan is not equal to itself
+            assert repr(vars(fast)) == repr(_own_parser_vars(name, rest))
+
+    def test_reads_each_command_and_repeated_flags(self, tmp_path):
+        for argv in argv_per_command(tmp_path) + [
+                ["verify"], ["dist", "--sub", "2Z", "--group", "Z", "--sub", "3Z",
+                             "--base", "nan", "--base", "2"],
+                ["saturate", "--group", "Z", "--group", "Z^2", "--sub", "2Z"]]:
+            fast = cli._fast_args(argv[0], argv[1:])
+            assert fast is not None and vars(fast) == _own_parser_vars(argv[0], argv[1:])
+
+    def test_well_formed_query_loads_no_argparse(self):
+        script = ("import sys\nfrom balleans.cli import run\n"
+                  "run(['dist', '--group', 'Z', '--sub', '2Z', '--sub', '3Z'])\n"
+                  "print(sorted({'argparse', 'gettext'} & sys.modules.keys()))\n")
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+        assert out.splitlines()[-1] == "[]"
 
 
 class TestExitCodes:

@@ -83,13 +83,14 @@ GENERATED = {"__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__del
 
 
 def _twin(cls):
-    """The class's own body (methods, `__post_init__`, `__reduce__`, ...)
-    under `@dataclass(frozen=True)`."""
+    """The class's own body (methods, `__post_init__`, `__reduce__`, a
+    `__hash__` it defines, ...) under `@dataclass(frozen=True)`."""
     names = tuple(cls.__annotations__)
     spec = [(n, cls.__annotations__[n], dataclasses.field(default=cls.__dict__[n]))
             if n in cls.__dict__ else (n, cls.__annotations__[n]) for n in names]
-    namespace = {k: v for k, v in vars(cls).items()
-                 if k not in GENERATED and k not in names}
+    # value_class's generated methods belong to no module
+    namespace = {k: v for k, v in vars(cls).items() if k not in names and (
+        k not in GENERATED or getattr(v, "__module__", None) == cls.__module__)}
     twin = dataclasses.make_dataclass(cls.__name__, spec, frozen=True,
                                       namespace=namespace)
     twin.__qualname__, twin.__module__ = cls.__qualname__, "value_twins"
@@ -202,6 +203,18 @@ def test_fields_set_past_the_frozen_setattr():
     assert type(b.balls).__name__ == "mappingproxy"
     assert ExplicitBallean._canonical((0,), (0,), {(0, 0): frozenset({0})}) == b
     assert FAGSubgroup._canonical(Z6, SUB_Z6.lift) == SUB_Z6
+
+
+def test_a_ball_table_hashes_by_value():
+    """A class-defined `__hash__` stays: the table's own, over support and
+    radii, since its read-only ball view does not hash."""
+    assert [c.__qualname__ for c in VALUE_CLASSES
+            if c.__hash__.__module__ == c.__module__] == ["ExplicitBallean"]
+    b = ExplicitBallean.from_table((0, 1, 2), (0, 1), {(0, 1): {0, 1}, (1, 1): {0, 1}})
+    back = ExplicitBallean.from_json(b.to_json())
+    assert back == b and hash(back) == hash(b)
+    other = ExplicitBallean.from_table((0, 1, 2), (0, 1), {(0, 1): {0, 2}, (2, 1): {0, 2}})
+    assert len({b, back, other}) == 2 and {b: 1}[back] == 1 and other not in {b}
 
 
 def test_import_leaves_dataclasses_and_inspect_out():
