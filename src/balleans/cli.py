@@ -381,11 +381,11 @@ _COMMANDS = {
 
 
 def _fast_args(name: str, rest: Sequence[str]) -> Optional[types.SimpleNamespace]:
-    """The namespace `name`'s own parser would give for `rest`, built straight
-    from its `_COMMANDS` entry, when rest is only `--flag value` pairs of the
-    command's own option strings, no value starts with "-", each converts by
-    its `type` and lies in its `choices`, and every required flag is given;
-    None for anything else, which argparse reads as before."""
+    """The namespace argparse would give for command `name` and its arguments
+    `rest`, built straight from its `_COMMANDS` entry, when rest is only
+    `--flag value` pairs of the command's own option strings, no value starts
+    with "-", each converts by its `type` and lies in its `choices`, and every
+    required flag is given; None for anything else, which argparse reads."""
     if len(rest) % 2:
         return None
     options = dict(_COMMANDS[name][2])
@@ -413,46 +413,30 @@ def _fast_args(name: str, rest: Sequence[str]) -> Optional[types.SimpleNamespace
 
 
 @functools.cache
-def _build_parser(only: Optional[str] = None) -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser with every command, or with the command `only`
-    alone, and the map from each command's name to its own parser. `run`
-    parses a known command with that parser in one pass, and the top-level
-    parser reports what is left over; its metavar names every command, so
-    that usage line reads as argparse's own. Each is built once per process:
+def _parser() -> argparse.ArgumentParser:
+    """The top-level parser with every command, built once per process:
     parsing keeps no state in a parser, and argparse reads COLUMNS afresh
     for every help and usage text it formats."""
     import argparse  # with gettext, a few ms of a one-shot query that needs neither
 
     parser = argparse.ArgumentParser(
         prog="balleans", description="Exact coarse geometry on subgroup lattices.")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=only and "{" + ",".join(_COMMANDS) + "}")
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, options) in _COMMANDS.items():
-        if only in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            for flag, kwargs in options:
-                p.add_argument(flag, **kwargs)
-    return parser, sub.choices
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+    return parser
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     # a well-formed query of a known command needs no parser; any other argv
-    # of a known command builds only that command's parser, which reads
-    # argv[1:] in one pass; anything else builds them all and goes through
-    # the top-level parser, so argparse writes every help and error text
+    # goes through argparse, which writes every help and error text
     argv = sys.argv[1:] if argv is None else list(argv)
-    name = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = name and _fast_args(name, argv[1:])
+    args = _fast_args(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
     if args is None:
-        parser, commands = _build_parser(name)
         try:
-            if name is None:
-                args = parser.parse_args(argv)
-            else:
-                args, extra = commands[name].parse_known_args(argv[1:])
-                if extra:
-                    parser.error("unrecognized arguments: " + " ".join(extra))
-                args.command = name
+            args = _parser().parse_args(argv)
         except SystemExit as e:
             return 2 if e.code else 0
     try:

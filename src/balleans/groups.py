@@ -211,15 +211,23 @@ def all_subgroups(parent: FiniteAbelianGroup, max_order: int = 200) -> list[FAGS
 # ---------------------------------------------------------------------------
 # Pruefer subgroups
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13: no composite below it is a strong probable prime to every base in
+# _SMALL_PRIMES (Sorenson and Webster, Math. Comp. 86, 2017)
+PRIME_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Trial division by _SMALL_PRIMES, then a strong probable-prime test to
+    each of them as base: exact below PRIME_LIMIT, past which an n that no
+    small prime divides is refused."""
+    if n < 2 or any(n % q == 0 for q in _SMALL_PRIMES):
+        return n in _SMALL_PRIMES
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"primality is decided only below PRIME_LIMIT = {PRIME_LIMIT}")
+    s = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    return all(x == 1 or n - 1 in (pow(x, 1 << r, n) for r in range(s))
+               for x in (pow(a, (n - 1) >> s, n) for a in _SMALL_PRIMES))
 
 
 @value_class
@@ -241,6 +249,10 @@ class PruferSubgroup:
         return self.level is None
 
 
+PRUFER_DISTANCE_DIGITS = 4300  # as many as Python converts int -> str by default
+_PRUFER_DISTANCE_CAP = 10 ** PRUFER_DISTANCE_DIGITS
+
+
 def prufer_log_distance(a: PruferSubgroup, b: PruferSubgroup) -> ExtNat:
     """p^|i-j| between finite levels; infinity between the whole group and
     any finite level. The finite chain is isometric to (log p)·N."""
@@ -250,7 +262,13 @@ def prufer_log_distance(a: PruferSubgroup, b: PruferSubgroup) -> ExtNat:
         return ExtNat.finite(1)
     if a.is_whole or b.is_whole:
         return INFINITE
-    return ExtNat.finite(a.prime ** abs(a.level - b.level))
+    gap = abs(a.level - b.level)
+    # p^gap >= 2^(gap * (bits(p) - 1)), so a long gap is refused unpowered
+    if (gap * (a.prime.bit_length() - 1) >= _PRUFER_DISTANCE_CAP.bit_length()
+            or (mu := a.prime ** gap) >= _PRUFER_DISTANCE_CAP):
+        raise ValueError(f"Pruefer distance p^|i-j| has more than {PRUFER_DISTANCE_DIGITS} "
+                         f"digits; PRUFER_DISTANCE_DIGITS allows at most {PRUFER_DISTANCE_DIGITS}")
+    return ExtNat.finite(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +404,6 @@ class GroupDescriptor:
         return self.free_rank.is_zero and self.q_rank.is_zero
 
     @property
-    def divisible_free_rank(self) -> CardinalToken:
-        """r0 of the maximal divisible subgroup."""
-        return self.q_rank
-
-    @property
     def torsion_inside_divisible(self) -> bool:
         """t(G) ⊆ d(G), i.e. the reduced part is torsion-free."""
         return not self.reduced_torsion
@@ -480,7 +493,7 @@ def iso_points_classify(d: GroupDescriptor) -> IsoPointsReport:
     """
     if not d.torsion_inside_divisible:
         return IsoPointsReport(ZERO, "no isolated subgroups: reduced part has torsion")
-    r = d.divisible_free_rank
+    r = d.q_rank  # r0, the free rank of the maximal divisible subgroup
     if r.is_zero:
         return IsoPointsReport(CardinalToken.finite(1),
                                "only the maximal divisible subgroup is isolated")

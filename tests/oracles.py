@@ -297,6 +297,18 @@ def coordinate_subgroup_by_closure(parent, idx, width: int):
     return FAGSubgroup.from_elements(parent, gens)
 
 
+def is_prime_by_trial_division(p: int) -> bool:
+    """Primality by trial division up to sqrt(p): the package's former route."""
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def subspace_count(p: int, k: int) -> int:
     """The number of subgroups of (Z/p)^k: the sum over j of the Gaussian
     binomials [k choose j]_p, each a product of (p^(k-i) - 1)/(p^(i+1) - 1)."""

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from balleans import cli, suites
 from balleans.cli import (
-    _build_parser,
+    _parser,
     format_subgroup,
     parse_group,
     parse_subgroup,
@@ -269,13 +269,13 @@ def _fresh_full_parser_prints(capsys, argv):
     command, as `run` reports them."""
     capsys.readouterr()
     with pytest.raises(SystemExit) as stop:
-        _build_parser.__wrapped__()[0].parse_args(argv)
+        _parser.__wrapped__().parse_args(argv)
     return (2 if stop.value.code else 0, *capsys.readouterr())
 
 
 class TestOneCommandParser:
-    """`run` builds the parser of the command it is given and no other;
-    argparse's help and errors must read as with every command's parser."""
+    """Whether `run` reads argv itself or hands it to its cached parser,
+    it prints what a newly built parser of every command prints."""
 
     ARGVS = [[], ["--help"], ["frobnicate"], ["--", "dist"],
              *([cmd, "--help"] for cmd in cli._COMMANDS),
@@ -296,8 +296,8 @@ class TestOneCommandParser:
              # errors the top-level parser reports, with its usage line
              ["dist", "--group", "Z", "--sub", "2Z", "--sub", "3Z", "--frob"],
              ["saturate", "--group", "Z", "--sub", "2Z", "extra"],
-             # shapes where one pass by the command's parser could read
-             # differently from the top-level pass that hands it argv[1:]
+             # shapes the command's parser reads from what the top-level
+             # parser hands it: an unknown flag, abbreviations, -h, --
              ["dist", "--group=Z", "--sub", "2Z", "--sub", "3Z", "--frob"],
              ["dist", "--gro", "Z", "--sub", "2Z", "--sub", "3Z", "x"],
              ["saturate", "--group", "Z", "--group", "Z^2", "--sub", "2Z", "x"],
@@ -314,37 +314,26 @@ class TestOneCommandParser:
 
     def test_one_parse_pass_for_a_known_command(self, capsys, monkeypatch, tmp_path):
         # a well-formed argv makes no pass; its --flag=value spelling makes
-        # one, by the command's own parser, and prints the same
+        # one, by the top-level parser, and prints the same
         passes = []
-        real = argparse.ArgumentParser.parse_known_args
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
-                            lambda self, *a, **kw: (passes.append(self.prog)
-                                                    or real(self, *a, **kw)))
-        for argv in argv_per_command(tmp_path):
-            outputs = []
-            for spelling, want in ((argv, []), (equals_spelling(argv), [f"balleans {argv[0]}"])):
-                passes.clear()
-                outputs.append((run(spelling), *capsys.readouterr()))
-                assert passes == want, spelling
-            assert outputs[0] == outputs[1] and outputs[0][0] == 0, argv
 
-    def test_builds_one_parser_for_a_known_command(self, capsys, monkeypatch):
-        built = []
-        monkeypatch.setattr(cli, "_build_parser", lambda only=None: (
-            built.append(only) or _build_parser(only)))
-        run(["saturate", "--group", "Z^2", "--sub", "span[(2,4)]"])
-        assert built == []
-        run(["saturate", "--group=Z^2", "--sub=span[(2,4)]"])
-        for argv in ([], ["--help"], ["frobnicate"], ["--", "saturate"]):
-            run(argv)
-        assert built == ["saturate", None, None, None, None]
-        with pytest.raises(SystemExit):  # mu's parser alone knows no dist
-            _build_parser("mu")[0].parse_args(["dist", "--group", "Z",
-                                               "--sub", "2Z", "--sub", "3Z"])
+        def spy(method):
+            real = getattr(argparse.ArgumentParser, method)
+            return lambda self, *a, **kw: passes.append((method, self.prog)) or real(self, *a, **kw)
+
+        for method in ("parse_args", "parse_known_args"):
+            monkeypatch.setattr(argparse.ArgumentParser, method, spy(method))
+        for argv in argv_per_command(tmp_path):
+            passes.clear()
+            outputs = [(run(argv), *capsys.readouterr())]
+            assert passes == [], argv
+            outputs.append((run(equals_spelling(argv)), *capsys.readouterr()))
+            assert [p for p in passes if p[0] == "parse_args"] == [("parse_args", "balleans")]
+            assert outputs[0] == outputs[1] and outputs[0][0] == 0, argv
 
 
 class TestCachedParsers:
-    """Each parser `run` uses is built once per process and reused."""
+    """The parser `run` falls back to is built once per process and reused."""
 
     def test_each_parser_built_at_most_once(self, capsys, monkeypatch, tmp_path):
         built = []
@@ -355,30 +344,26 @@ class TestCachedParsers:
             real_init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
-        keys = [*cli._COMMANDS, None]
-        fresh = 0  # constructions in building each of them once
-        for only in keys:
-            _build_parser.__wrapped__(only)
-            fresh, built[:] = fresh + len(built), []
-        cli._build_parser.cache_clear()
+        _parser.__wrapped__()
+        fresh, built[:] = len(built), []  # constructions in building it once
+        cli._parser.cache_clear()
         well_formed = argv_per_command(tmp_path)
         for argv in well_formed:
             run(argv)
-        assert built == [] and cli._build_parser.cache_info().currsize == 0
+        assert built == [] and cli._parser.cache_info().currsize == 0
         argvs = well_formed + [equals_spelling(argv) for argv in well_formed] + [
             [], ["--help"], ["frobnicate"], ["dist", "--help"], ["mu", "--set"]]
         for i in range(100):
             run(argvs[i % len(argvs)])
         capsys.readouterr()
-        assert len(built) == fresh
-        assert cli._build_parser.cache_info().currsize == len(keys)
+        assert len(built) == fresh and cli._parser.cache_info().currsize == 1
         for argv in argvs:
             run(argv)
         assert len(built) == fresh
 
     def test_help_and_errors_follow_columns(self, capsys, monkeypatch):
         argvs = [["dist", "--help"], ["--help"], ["dist", "--group", "Z"]]
-        parsers = [_build_parser("dist"), _build_parser(None)]
+        parser = _parser()
         seen = set()
         for columns in ("200", "40", "80"):
             monkeypatch.setenv("COLUMNS", columns)
@@ -387,7 +372,7 @@ class TestCachedParsers:
                                     for argv in argvs), columns
             seen.add(outputs)
         assert len(seen) == 3  # each width reads differently
-        assert _build_parser("dist") is parsers[0] and _build_parser(None) is parsers[1]
+        assert _parser() is parser
 
     def test_error_leaves_next_call_unchanged(self, capsys):
         valid = [["dist", "--group", "Z", "--sub", "2Z", "--sub", "3Z"],
@@ -404,14 +389,14 @@ class TestCachedParsers:
 
 
 def _own_parser_vars(name, rest):
-    """vars() of what `name`'s own parser reads from rest, with the command
-    as `run` sets it; None where argparse exits or leaves arguments over."""
+    """vars() of what the parser reads from command `name` and its arguments
+    rest, as sorted items; None where argparse exits or leaves arguments over."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            args, extra = _build_parser(name)[1][name].parse_known_args(rest)
+            args, extra = _parser().parse_known_args([name, *rest])
         except SystemExit:
             return None
-    return None if extra else {**vars(args), "command": name}
+    return None if extra else sorted(vars(args).items())
 
 
 VALUES = st.one_of(
@@ -441,8 +426,8 @@ def command_argv(draw):
 
 
 class TestFastArgs:
-    """`_fast_args` reads a well-formed argv as the command's own parser does
-    and declines the rest, which argparse then reads."""
+    """`_fast_args` reads a well-formed argv as argparse does and declines
+    the rest, which argparse then reads."""
 
     @given(command_argv())
     @settings(max_examples=600, deadline=None)
@@ -453,7 +438,7 @@ class TestFastArgs:
             fast = cli._fast_args(name, rest)
         assert out.getvalue() == err.getvalue() == ""
         if fast is not None:  # repr, as nan is not equal to itself
-            assert repr(vars(fast)) == repr(_own_parser_vars(name, rest))
+            assert repr(sorted(vars(fast).items())) == repr(_own_parser_vars(name, rest))
 
     def test_reads_each_command_and_repeated_flags(self, tmp_path):
         for argv in argv_per_command(tmp_path) + [
@@ -461,7 +446,8 @@ class TestFastArgs:
                              "--base", "nan", "--base", "2"],
                 ["saturate", "--group", "Z", "--group", "Z^2", "--sub", "2Z"]]:
             fast = cli._fast_args(argv[0], argv[1:])
-            assert fast is not None and vars(fast) == _own_parser_vars(argv[0], argv[1:])
+            assert fast is not None
+            assert sorted(vars(fast).items()) == _own_parser_vars(argv[0], argv[1:])
 
     def test_well_formed_query_loads_no_argparse(self):
         script = ("import sys\nfrom balleans.cli import run\n"
@@ -517,6 +503,34 @@ class TestExitCodes:
         assert run(["component", "--family", "prufer", "--p", "4"]) == 2
         assert run(["ball", "--family", "prufer", "--p", "4", "--n", "1",
                     "--K", "2"]) == 2
+
+    def test_large_prime_decided_in_time(self, capsys):
+        # trial division to sqrt(p) once took minutes on this prime
+        start = time.perf_counter()
+        assert run_json(capsys, ["dist", "--group", "prufer@1000000000000000003",
+                                 "--sub", "H_0", "--sub", "H_1"])[1]["mu"] == 10 ** 18 + 3
+        assert time.perf_counter() - start < 1.0
+
+    def test_domain_error_prime_past_the_limit(self, capsys):
+        for argv in (["dist", "--group", "prufer@3317044064679887385961981",
+                      "--sub", "H_0", "--sub", "H_1"],
+                     ["component", "--family", "prufer", "--p", "3317044064679887385961981"]):
+            assert run(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and "PRIME_LIMIT = 3317044064679887385961981" in err
+
+    def test_domain_error_prufer_gap_past_the_digit_bound(self, capsys):
+        start = time.perf_counter()
+        assert run(["dist", "--group", "prufer@3", "--sub", "H_0",
+                    "--sub", f"H_{10 ** 12}"]) == 1
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and "PRUFER_DISTANCE_DIGITS allows at most 4300" in err
+        # 3^9012 has 4300 digits, the most a distance can print
+        code, out = run_json(capsys, ["dist", "--group", "prufer@3", "--sub", "H_0",
+                                      "--sub", "H_9012"])
+        assert code == 0 and out["mu"] == 3 ** 9012 and len(str(out["mu"])) == 4300
+        assert run(["dist", "--group", "prufer@3", "--sub", "H_0", "--sub", "H_9013"]) == 1
 
     def test_usage_error_kz_in_higher_rank(self, capsys):
         assert run(["dist", "--group", "Z^2", "--sub", "3Z",

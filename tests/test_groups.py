@@ -7,6 +7,8 @@ import pytest
 
 from balleans.ballean import FiniteSubset
 from balleans.groups import (
+    PRIME_LIMIT,
+    PRUFER_DISTANCE_DIGITS,
     AsdimReport,
     CardinalToken,
     FAGSubgroup,
@@ -16,6 +18,7 @@ from balleans.groups import (
     PruferSubgroup,
     ReducedTorsionPart,
     ZERO,
+    _is_prime,
     all_subgroups,
     asdim_classify,
     component_census,
@@ -34,6 +37,7 @@ from oracles import (
     closure,
     element_count_mu,
     elements_by_membership,
+    is_prime_by_trial_division,
     subspace_count,
 )
 
@@ -209,6 +213,43 @@ class TestPrufer:
             PruferSubgroup(4, 1)
         with pytest.raises(ValueError):
             prufer_log_distance(PruferSubgroup(2, 1), PruferSubgroup(3, 1))
+
+    def test_gap_past_the_digit_bound_refused(self):
+        cap = 10 ** PRUFER_DISTANCE_DIGITS
+        for p in (2, 3, 10 ** 18 + 3):
+            gap = 0  # the largest gap with p^gap below the cap
+            while p ** (gap + 1) < cap:
+                gap += 1
+            far = PruferSubgroup(p, gap)
+            assert prufer_log_distance(PruferSubgroup(p, 0), far).value == p ** gap
+            for level in (gap + 1, 10 ** 12, 10 ** 4000):
+                with pytest.raises(ValueError, match="PRUFER_DISTANCE_DIGITS"):
+                    prufer_log_distance(PruferSubgroup(p, 0), PruferSubgroup(p, level))
+
+
+class TestIsPrime:
+    def test_matches_trial_division_below_1e5(self):
+        assert [n for n in range(-3, 10 ** 5)
+                if _is_prime(n) != is_prime_by_trial_division(n)] == []
+
+    def test_strong_pseudoprimes_and_large_primes(self):
+        # 3215031751 passes bases 2, 3, 5 and 7; 3825123056546413051 every
+        # base up to 23; psi_12 every base up to 37, and fails 41
+        for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+            assert not _is_prime(n)
+        assert _is_prime(10 ** 18 + 3)
+
+    def test_refuses_past_the_limit(self):
+        with pytest.raises(ValueError, match="PRIME_LIMIT"):
+            _is_prime(PRIME_LIMIT)
+        assert not _is_prime(2 * PRIME_LIMIT)  # a small factor still decides
+
+    def test_matches_sympy_on_20_to_24_digits(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(24)
+        draws = [rng.randrange(10 ** 19, 10 ** 24) for _ in range(2000)]
+        draws += [sympy.nextprime(n) for n in draws[:200]]
+        assert [n for n in draws if _is_prime(n) != sympy.isprime(n)] == []
 
 
 class TestDescriptors:
