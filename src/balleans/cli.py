@@ -77,10 +77,19 @@ def parse_group(expr: str) -> GroupCtx:
                 raise UsageError(f"cannot parse group {expr!r}")
             inner = piece[2:-1]
             orders.extend(_parse_int(tok, "order") for tok in inner.split(","))
+        # elements are read in the coordinates the orders give, so only an
+        # invariant-factor spelling is taken as it stands
         try:
-            return FiniteAbelianGroup.from_orders(orders)
-        except ValueError as e:
+            return FiniteAbelianGroup(tuple(orders))
+        except ValueError:
+            pass
+        try:
+            chain = FiniteAbelianGroup.from_orders(orders).invariant_factors
+        except ValueError as e:  # an order below 1
             raise UsageError(str(e)) from None
+        spelling = f"Z({','.join(map(str, chain))})" if chain else "the trivial group"
+        raise UsageError(f"group orders must form a divisibility chain m1 | m2 | ... "
+                         f"of integers >= 2: {expr!r} is {spelling}")
     raise UsageError(f"cannot parse group {expr!r}")
 
 
@@ -412,6 +421,35 @@ def _fast_args(name: str, rest: Sequence[str]) -> Optional[types.SimpleNamespace
     return types.SimpleNamespace(**fields, command=name)
 
 
+_quote = json.encoder.encode_basestring_ascii  # json's own, under ensure_ascii
+
+
+def _json_text(o, newline: str = "\n") -> str:
+    """json.dumps(o, indent=2, sort_keys=True, allow_nan=False), byte for byte,
+    for a payload whose dicts have str keys; `newline` starts each line inside
+    o. Below Python 3.13, indent makes json build a pure-Python encoder on
+    every call, which costs about twice this walk over a CLI payload."""
+    t = type(o)
+    if t is str:
+        return _quote(o)
+    if t is int:
+        return repr(o)
+    inner = newline + "  "
+    if t is list or t is tuple:
+        items = [_json_text(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if o else "[]"
+    if t is dict:
+        items = [_quote(k) + ": " + _json_text(v, inner) for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if o else "{}"
+    if t is float and math.isfinite(o):
+        return repr(o)
+    if o is None or t is bool:
+        return "null" if o is None else "true" if o else "false"
+    # a subclass of a JSON type is written as json writes it, and a NaN or
+    # an infinity raises json's own ValueError
+    return json.dumps(o, indent=2, sort_keys=True, allow_nan=False).replace("\n", newline)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The top-level parser with every command, built once per process:
@@ -443,7 +481,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         payload = _COMMANDS[args.command][1](args)
         # serialized in full before writing, so a refused value leaves no
         # partial document on stdout
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        text = _json_text(payload)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

@@ -1,11 +1,15 @@
 import argparse
+import ast
+import collections
 import contextlib
+import enum
 import io
 import json
 import math
 import os
 import pathlib
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -25,6 +29,9 @@ from balleans.exactmat import abs_det
 from balleans.groups import FiniteAbelianGroup, PruferSubgroup
 from balleans.lattices import lattice_from_generators
 from balleans.witnesses import VerificationReport
+
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def _not_json(token):
@@ -53,6 +60,27 @@ def argv_per_command(tmp_path) -> list[list[str]]:
             ["mu", "--group", "Z(6)", "--set", "{0}", "--set", "{0,3}"],
             ["verify", "--suite", "lzball", "--seed", "3"],
             ["verify", "--suite", "iota"]]
+
+
+def readme_examples() -> list[tuple[str, str]]:
+    """(recorded stdout file, README line) of each README CLI example but
+    `profile`, which needs a file, and `verify --suite all`, which has its
+    own recorded report."""
+    lines = (DATA / "readme_cli" / "examples.txt").read_text().splitlines()
+    return [tuple(line.split(" ", 1)) for line in lines]
+
+
+def literal_argvs() -> list[list[str]]:
+    """Every argv this file writes out: a list of str literals that starts
+    with a command name."""
+    found = []
+    for node in ast.walk(ast.parse(pathlib.Path(__file__).read_text())):
+        if isinstance(node, ast.List) and node.elts and all(
+                isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts):
+            argv = [e.value for e in node.elts]
+            if argv[0] in cli._COMMANDS:
+                found.append(argv)
+    return found
 
 
 class TestParsing:
@@ -200,6 +228,19 @@ class TestOtherCommands:
         assert run(["verify", "--suite", "all", "--seed", "0"]) == 0
         assert capsys.readouterr().out == recorded.read_text()
 
+    def test_readme_examples_print_the_recorded_output(self, capsys, monkeypatch):
+        monkeypatch.delenv("BALLEAN_LOG_BASE", raising=False)
+        for name, line in readme_examples():
+            assert run(shlex.split(line)[1:]) == 0
+            assert capsys.readouterr().out == (DATA / "readme_cli" / name).read_text(), line
+
+    def test_recorded_examples_are_the_readme_examples(self):
+        readme = (DATA.parent.parent / "README.md").read_text()
+        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines()
+                 if not line.startswith("balleans profile ") and "--suite all" not in line]
+        assert [line for _, line in readme_examples()] == lines
+
     def test_mu_seed_484_pairs_finish_in_time(self, capsys, monkeypatch):
         # |Y| = 4 in (Z/2)^8, Y then Z drawn by random.Random(484) from the
         # elements in order, as CI draws the |Z| = 48 pair: the cover search
@@ -257,6 +298,74 @@ class TestOtherCommands:
         assert run() == 0 and "exp-ball" in capsys.readouterr().out
         monkeypatch.setattr(sys, "argv", ["balleans", "frobnicate"])
         assert run() == 2
+
+
+JSON_TEXT = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f\n", "\u2028", "\ud800", "\udfff", "é€😀"])
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.sampled_from([2 ** 64, -(3 ** 2000), 10 ** 4299]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 1e16, 5e-324, 1e-7]), JSON_TEXT)
+JSON_TREES = st.recursive(JSON_LEAVES, lambda kids: st.one_of(
+    st.lists(kids), st.lists(kids).map(tuple), st.dictionaries(JSON_TEXT, kids)),
+    max_leaves=40)
+
+
+def json_dumps(payload) -> str:
+    """The text `run` writes for a payload: its writer's test oracle."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+
+
+class TestJsonText:
+    """`cli._json_text` writes the bytes of json.dumps(indent=2, sort_keys=True,
+    allow_nan=False)."""
+
+    @given(JSON_TREES)
+    @settings(max_examples=500, deadline=None)
+    def test_writes_what_json_writes(self, tree):
+        assert cli._json_text(tree) == json_dumps(tree)
+
+    def test_writes_subclasses_as_json_does(self):
+        class Tag(str):
+            pass
+
+        class Row(list):
+            pass
+
+        class Level(enum.IntEnum):
+            TOP = 3
+
+        nested = collections.OrderedDict(b=Row([1, Tag("é")]), a=collections.OrderedDict())
+        tree = {"depth": [[nested, Row()], (Level.TOP, 2.5)]}
+        assert cli._json_text(tree) == json_dumps(tree)
+
+    def test_writes_each_payload_of_a_literal_argv_as_json_does(self, capsys, monkeypatch):
+        payloads = []
+        for name, (help_text, handler, options) in list(cli._COMMANDS.items()):
+            def recording(args, handler=handler):
+                payloads.append(handler(args))
+                return payloads[-1]
+            monkeypatch.setitem(cli._COMMANDS, name, (help_text, recording, options))
+        argvs = literal_argvs()
+        assert len(argvs) >= 100
+        for argv in argvs:
+            run(argv)
+        capsys.readouterr()
+        assert {type(p) for p in payloads} == {dict, list} and len(payloads) >= 30
+        for payload in payloads:
+            assert cli._json_text(payload) == json_dumps(payload)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_float_refused_with_json_message(self, capsys, monkeypatch, bad):
+        # the payload is written in full first, so nothing reaches stdout
+        payload = {"mu": 3, "log": [0.5, bad]}
+        help_text, _, options = cli._COMMANDS["dist"]
+        monkeypatch.setitem(cli._COMMANDS, "dist", (help_text, lambda args: payload, options))
+        with pytest.raises(ValueError) as refused:
+            json_dumps(payload)
+        assert run(["dist", "--group", "Z", "--sub", "2Z", "--sub", "3Z"]) == 1
+        assert capsys.readouterr() == ("", f"error: {refused.value}\n")
 
 
 def equals_spelling(argv):
@@ -547,6 +656,26 @@ class TestExitCodes:
                     "--set", "{(1,1,1)}"]) == 2
         assert run(["exp-ball", "--group", "Z(12)", "--radius", "(1,2)"]) == 2
         assert "needs 1 coordinates, got 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("group, spelling", [
+        ("Z(4,2)", "Z(2,4)"), ("Z(4)xZ(2)", "Z(2,4)"), ("Z(2,3)", "Z(6)"),
+        ("Z(1)", "the trivial group")])
+    def test_usage_error_orders_not_a_chain(self, capsys, group, spelling):
+        # elements are read in the coordinates the orders give: Z(4,2) was once
+        # read as Z(2,4), where (2,0) is the identity
+        for argv in (["dist", "--group", group, "--sub", "gen{(2,0)}", "--sub", "gen{(0,1)}"],
+                     ["exp-ball", "--group", group, "--radius", "(1,1)"]):
+            assert run(argv) == 2
+            assert capsys.readouterr() == ("", (
+                "usage error: group orders must form a divisibility chain m1 | m2 | ... "
+                f"of integers >= 2: {group!r} is {spelling}\n"))
+
+    def test_chain_orders_read_as_written(self, capsys):
+        # in Z/2 + Z/4, two distinct subgroups of order 2 that meet trivially
+        for group in ("Z(2,4)", "Z(2)xZ(4)"):
+            code, out = run_json(capsys, ["dist", "--group", group, "--sub", "gen{(1,0)}",
+                                          "--sub", "gen{(0,2)}"])
+            assert code == 0 and out["mu"] == 2
 
     @pytest.mark.parametrize("empty", ["{}", "{ }", "{,}"])
     def test_usage_error_empty_mu_set(self, capsys, empty):
