@@ -25,7 +25,6 @@ Point = Hashable
 Radius = Hashable
 
 EXP_SUPPORT_LIMIT = 12
-LZ_ENUMERATION_LIMIT = 10 ** 6
 PRODUCT_SIZE_LIMIT = 4096  # cells, points x radii, of a product or coproduct table
 ZERO_ONE = bytes.maketrans(b"01", b"\0\1")  # '0'/'1' digits to falsy/truthy bytes
 
@@ -175,16 +174,14 @@ def _decode_id(e):
 
 def discrete_ballean(support: Iterable[Point],
                      radii: Iterable[Radius] = ("*",)) -> ExplicitBallean:
-    sup = tuple(support)
-    return ExplicitBallean.from_table(sup, radii, {})
+    return ExplicitBallean.from_table(support, radii, {})
 
 
 def bounded_ballean(support: Iterable[Point],
                     radii: Iterable[Radius] = ("*",)) -> ExplicitBallean:
     sup, rad = tuple(support), tuple(radii)
     everything = frozenset(sup)
-    table = {(x, a): everything for x in sup for a in rad}
-    return ExplicitBallean.from_table(sup, rad, table)
+    return ExplicitBallean(sup, rad, {(x, a): everything for x in sup for a in rad})
 
 
 # ---------------------------------------------------------------------------
@@ -801,32 +798,22 @@ def mu_report(y: FiniteSubset, z: FiniteSubset) -> MuReport:
     cover of mu − 1 translates besides e, which is then minimum."""
     if y.parent != z.parent:
         raise ValueError("subsets of different parents")
-    parent = y.parent
-    e = parent.zero
     z_only = tuple(z.elements - y.elements)
     y_only = tuple(y.elements - z.elements)
-    into_z = _translate_cover_masks(parent, y.elements, z_only)
-    into_y = _translate_cover_masks(parent, z.elements, y_only)
-    into_z.pop(e, None)
-    into_y.pop(e, None)
+    into_z = _translate_cover_masks(y.parent, y.elements, z_only)
+    into_y = _translate_cover_masks(y.parent, z.elements, y_only)
 
-    def cover_size(targets: tuple, covers: dict, floor: int = 0) -> Optional[int]:
-        # min |F| with e in F and the translates in F covering the targets
-        extra = _min_cover_size((1 << len(targets)) - 1, covers.values(), floor)
-        return None if extra is None else 1 + extra
+    def cover_size(targets: tuple, covers: dict, floor: int = 0) -> int:
+        # min |F| with e in F and the translates in F covering the targets; a
+        # target t outside base lies in t − b + base for each b, and t − b ≠ e
+        return 1 + _min_cover_size((1 << len(targets)) - 1, covers.values(), floor)
 
-    fy = cover_size(z_only, into_z)
-    sz = cover_size(y_only, into_y)
-    if fy is None or sz is None:
-        mu, floor = ExtNat.infinity(), 0
-    else:
-        mu, floor = ExtNat.finite(max(fy, sz)), max(fy, sz) - 1
-
+    mu = max(cover_size(z_only, into_z), cover_size(y_only, into_y))
     both = dict(into_z)
     for g, m in into_y.items():
         both[g] = both.get(g, 0) | m << len(z_only)
-    single = cover_size(z_only + y_only, both, floor)
-    return MuReport(mu, ExtNat.infinity() if single is None else ExtNat.finite(single))
+    single = cover_size(z_only + y_only, both, mu - 1)
+    return MuReport(ExtNat.finite(mu), ExtNat.finite(single))
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,10 @@ def fag_log_distance(a: FAGSubgroup, b: FAGSubgroup) -> ExtNat:
     return log_subgroup_distance(a.lift, b.lift)
 
 
-def all_subgroups(parent: FiniteAbelianGroup, max_order: int = 200) -> list[FAGSubgroup]:
+SUBGROUP_ORDER_LIMIT = 200
+
+
+def all_subgroups(parent: FiniteAbelianGroup) -> list[FAGSubgroup]:
     """Every subgroup, ordered by increasing order and then by lift basis.
 
     The lifts diag(m)·Z^k ⊆ L ⊆ Z^k are enumerated as canonical row HNFs:
@@ -188,7 +191,7 @@ def all_subgroups(parent: FiniteAbelianGroup, max_order: int = 200) -> list[FAGS
     added later have their pivots left of column i, so they cannot change
     that test.
     """
-    if parent.order > max_order:
+    if parent.order > SUBGROUP_ORDER_LIMIT:
         raise ValueError("group too large for exhaustive subgroup enumeration")
     ms, k = parent.invariant_factors, parent.k
     partial: list[tuple[tuple[int, ...], ...]] = [()]

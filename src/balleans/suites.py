@@ -244,7 +244,7 @@ def suite_elemab(primes: Sequence[int] = (2, 3), max_index: int = 4
     pairs = []
     for p in primes:
         parent = FiniteAbelianGroup((p,) * width)
-        lifts = [(f, _coordinate_subgroup(parent, f, width)) for f in subsets]
+        lifts = [(f, _coordinate_subgroup(parent, f)) for f in subsets]
         pairs += [(p, f, a, fp, b) for (f, a), (fp, b)
                   in itertools.combinations_with_replacement(lifts, 2)]
 

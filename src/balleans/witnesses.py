@@ -15,9 +15,11 @@ import math
 from typing import Iterable, Optional, Sequence
 
 from ._values import value_class
-from .ballean import LZ_ENUMERATION_LIMIT, HammingPoint, _union
+from .ballean import HammingPoint, _union
 from .groups import FAGSubgroup, FiniteAbelianGroup, _is_prime, fag_log_distance
 from .lattices import ExtNat, Lattice, lattice_from_generators, member
+
+LZ_ENUMERATION_LIMIT = 10 ** 6
 
 # ---------------------------------------------------------------------------
 # prime-exponent tuples in the subgroup space of Z
@@ -25,10 +27,9 @@ from .lattices import ExtNat, Lattice, lattice_from_generators, member
 
 @value_class
 class PrimeTuple:
-    """Distinct primes p1 < ... < pn with a display log base <= min prime."""
+    """Distinct primes p1 < ... < pn."""
 
     primes: tuple[int, ...]
-    log_base: float = 2.0
 
     def __post_init__(self) -> None:
         if not self.primes:
@@ -38,8 +39,6 @@ class PrimeTuple:
         for p in self.primes:
             if not _is_prime(p):
                 raise ValueError(f"{p} is not prime")
-        if self.log_base > self.primes[0]:
-            raise ValueError("log base must not exceed the smallest prime")
 
     @property
     def n(self) -> int:
@@ -190,8 +189,8 @@ def elementary_abelian_correspondence(p: int, f: Iterable[int],
     if any(i < 0 or i >= width for i in fs | fps):
         raise ValueError("index outside the working width")
     parent = FiniteAbelianGroup((p,) * width)
-    computed = fag_log_distance(_coordinate_subgroup(parent, fs, width),
-                                _coordinate_subgroup(parent, fps, width))
+    computed = fag_log_distance(_coordinate_subgroup(parent, fs),
+                                _coordinate_subgroup(parent, fps))
     return computed, elementary_abelian_closed_form(p, fs, fps)
 
 
@@ -200,12 +199,11 @@ def elementary_abelian_closed_form(p: int, f: frozenset, fp: frozenset) -> ExtNa
     return ExtNat.finite(p ** max(len(f - fp), len(fp - f)))
 
 
-def _coordinate_subgroup(parent: FiniteAbelianGroup, idx: frozenset,
-                         width: int) -> FAGSubgroup:
-    """H_F, lifted to <e_i : i in F> + p·Z^w = diag(d) with d_i = 1 for i in
-    F and p otherwise; a diagonal with positive pivots is already the
-    canonical row HNF, so no elimination runs."""
-    p = parent.exponent
+def _coordinate_subgroup(parent: FiniteAbelianGroup, idx: frozenset) -> FAGSubgroup:
+    """H_F in (Z/p)^w, lifted to <e_i : i in F> + p·Z^w = diag(d) with d_i = 1
+    for i in F and p otherwise; a diagonal with positive pivots is already
+    the canonical row HNF, so no elimination runs."""
+    p, width = parent.exponent, parent.k
     basis = []
     for i in range(width):
         row = [0] * width

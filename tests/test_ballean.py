@@ -16,6 +16,7 @@ from balleans.ballean import (
     ExplicitBallean,
     _max_matching,
     _min_cover_size,
+    _translate_cover_masks,
     FiniteSubset,
     HammingPoint,
     ZWindow,
@@ -691,6 +692,70 @@ class TestMu:
             y = FiniteSubset.of(g, rng.sample(elems, rng.randint(1, 4)))
             z = FiniteSubset.of(g, rng.sample(elems, rng.randint(1, 4)))
             assert mu_set_distance(y, z) == mu_set_distance(z, y)
+
+
+class TestTranslateCovers:
+    @staticmethod
+    def random_pairs(rng, count):
+        """(parent, Y, Z) with random nonempty Y and Z, in finite abelian
+        groups and in windows of the integers."""
+        out = []
+        for i in range(count):
+            if i % 2:
+                parent = ZWindow(rng.randint(0, 6))
+                elems = list(range(-parent.half_width, parent.half_width + 1))
+            else:
+                parent = FiniteAbelianGroup(rng.choice([(5,), (12,), (2, 4), (3, 3), (2, 2, 2)]))
+                elems = list(parent.elements())
+            y, z = (rng.sample(elems, rng.randint(1, min(5, len(elems)))) for _ in "yz")
+            out.append((parent, FiniteSubset.of(parent, y), FiniteSubset.of(parent, z)))
+        return out
+
+    def test_every_target_has_a_translate_and_none_is_the_identity(self):
+        # what lets mu_report count on a cover: each target t in Z ∖ Y lies
+        # in t − b + Y for any b in Y, and t − b ≠ e as t is not in Y
+        kinds = set()
+        for parent, y, z in self.random_pairs(random.Random(27), 600):
+            for base, other in ((y, z), (z, y)):
+                targets = tuple(other.elements - base.elements)
+                masks = _translate_cover_masks(parent, base.elements, targets)
+                assert parent.zero not in masks
+                union = 0
+                for mask in masks.values():
+                    union |= mask
+                assert union == (1 << len(targets)) - 1
+            kinds.add(type(parent))
+        assert kinds == {ZWindow, FiniteAbelianGroup}
+
+    def test_window_mu_is_the_cyclic_mu_of_the_same_integers(self):
+        # in Z/N with N > 4·max|x| no difference of two differences t − b
+        # wraps to 0, so translates and their covers are those of the window
+        # (N > 2·max|x| + 1 is not enough: Y = {3}, Z = {-1, -2, -3} in Z/8
+        # gives single_set 4, in the window 5)
+        for parent, y, z in self.random_pairs(random.Random(28), 400)[1::2]:
+            n = 4 * max(map(abs, y.elements | z.elements)) + 2
+            cyclic = FiniteAbelianGroup((n,))
+            y_n, z_n = (FiniteSubset.of(cyclic, s.elements) for s in (y, z))
+            assert mu_report(y, z) == mu_report(y_n, z_n), (y, z)
+
+    def test_window_mu_matches_brute_force(self):
+        # every g in [-2w, 2w] as a translate, its covers taken from the sets
+        rng = random.Random(29)
+        for _ in range(150):
+            w = rng.randint(1, 4)
+            points = range(-w, w + 1)
+            y, z = (set(rng.sample(points, rng.randint(1, min(4, 2 * w + 1)))) for _ in "yz")
+            moves = range(-2 * w, 2 * w + 1)
+            into_z = [{t for t in z - y if t - g in y} for g in moves]
+            into_y = [{t for t in y - z if t - g in z} for g in moves]
+            both = [{("z", t) for t in a} | {("y", t) for t in b}
+                    for a, b in zip(into_z, into_y)]
+            mu = 1 + max(min_cover_brute(z - y, into_z), min_cover_brute(y - z, into_y))
+            universe = {("z", t) for t in z - y} | {("y", t) for t in y - z}
+            single = 1 + min_cover_brute(universe, both)
+            window = ZWindow(w)
+            assert mu_report(FiniteSubset.of(window, y), FiniteSubset.of(window, z)) == \
+                ballean.MuReport(ExtNat.finite(mu), ExtNat.finite(single)), (y, z)
 
 
 class TestMinCover:

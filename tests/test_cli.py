@@ -180,6 +180,9 @@ class TestOtherCommands:
         code, out = run_json(capsys, ["component", "--family", "prufer",
                                       "--p", "3"])
         assert code == 0 and out["count"] == 2
+        code, out = run_json(capsys, ["component", "--family", "finite"])
+        assert code == 0 and out == {"count": 1, "family": "finite_abelian",
+                                     "detail": "bounded, hence a single component"}
 
     def test_saturate(self, capsys):
         code, out = run_json(capsys, ["saturate", "--group", "Z^2",
@@ -670,12 +673,73 @@ class TestExitCodes:
                 "usage error: group orders must form a divisibility chain m1 | m2 | ... "
                 f"of integers >= 2: {group!r} is {spelling}\n"))
 
+    def test_non_chain_spelled_up_to_the_bound_and_refused_past_it(self, capsys):
+        bound = cli.SPELLED_ORDERS_LIMIT
+        group = f"Z({','.join(['2', '3'] * (bound // 2))})"
+        assert run(["exp-ball", "--group", group, "--radius", "0"]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"{group!r} is Z({','.join(['6'] * (bound // 2))})\n")
+        assert run(["exp-ball", "--group", f"Z(2,{group[2:]}", "--radius", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: group orders must form a divisibility chain m1 | m2 | ... "
+            f"of integers >= 2: the {bound + 1} orders given are not one, and past "
+            f"SPELLED_ORDERS_LIMIT = {bound} orders their invariant factors are not named\n")
+
+    def test_non_chain_of_many_orders_refused_in_time(self, capsys):
+        # all-pairs gcd/lcm merging took seconds on a few thousand orders
+        start = time.perf_counter()
+        assert run(["dist", "--group", f"Z({','.join(['2', '3'] * 10_000)})",
+                    "--sub", "gen{0}", "--sub", "gen{0}"]) == 2
+        assert time.perf_counter() - start < 2.0
+        assert "the 20000 orders given are not one" in capsys.readouterr().err
+
+    def test_non_chain_with_unprintable_factors_is_a_usage_error(self, capsys):
+        # Z(2,3,5,...,10099), the 1,240 primes below 10,100, once exited 1:
+        # its one invariant factor, their product, has more digits than str()
+        # prints. Two orders, 2^9000 and 3^6000, stay within the spelling
+        # bound, and their one factor has 5,572 digits
+        primes = [p for p in range(2, 10_100) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        assert len(primes) == 1240
+        for orders in (primes, [2 ** 9000, 3 ** 6000]):
+            assert run(["dist", "--group", f"Z({','.join(map(str, orders))})",
+                        "--sub", "gen{0}", "--sub", "gen{0}"]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("usage error: group orders must form")
+        assert err.endswith("the orders given are not one, and their invariant "
+                            "factors are too long to print\n")
+
     def test_chain_orders_read_as_written(self, capsys):
         # in Z/2 + Z/4, two distinct subgroups of order 2 that meet trivially
         for group in ("Z(2,4)", "Z(2)xZ(4)"):
             code, out = run_json(capsys, ["dist", "--group", group, "--sub", "gen{(1,0)}",
                                           "--sub", "gen{(0,2)}"])
             assert code == 0 and out["mu"] == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["dist", "--group", "Z^0", "--sub", "2Z", "--sub", "3Z"], "rank must be >= 1"),
+        (["dist", "--group", "Q", "--sub", "2Z", "--sub", "3Z"], "cannot parse group 'Q'"),
+        (["dist", "--group", "Z(2)xQ(3)", "--sub", "gen{0}", "--sub", "gen{0}"],
+         "cannot parse group 'Z(2)xQ(3)'"),
+        (["dist", "--group", "Z(0,2)", "--sub", "gen{0}", "--sub", "gen{0}"],
+         "cyclic orders must be >= 1"),
+        (["dist", "--group", "prufer@2", "--sub", "K_1", "--sub", "H_1"],
+         "cannot parse subgroup 'K_1' in a divisible chain"),
+        (["dist", "--group=Z", "--sub=-2Z", "--sub=2Z"], "multiplier must be >= 0"),
+        (["dist", "--group", "Z", "--sub", "xZ", "--sub", "2Z"],
+         "cannot parse multiplier: 'x'"),
+        (["dist", "--group", "Z(6)", "--sub", "span[(1)]", "--sub", "gen{1}"],
+         "cannot parse subgroup 'span[(1)]' in a finite group"),
+        (["dist", "--group", "Z^2", "--sub", "span[(1,2]", "--sub", "span[(1,0)]"],
+         "unbalanced parentheses"),
+        (["dist", "--group", "Z^2", "--sub", "span[1,2)]", "--sub", "span[(1,0)]"],
+         "unbalanced parentheses"),
+        (["dist", "--group", "Z^2", "--sub", "span[1]", "--sub", "span[(1,0)]"],
+         "expected a vector like (a,b): '1'"),
+        (["mu", "--group", "Z(6)", "--set", "0,3", "--set", "{0}"],
+         "expected a set like {0,3}: '0,3'")])
+    def test_usage_error_message(self, capsys, argv, message):
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
 
     @pytest.mark.parametrize("empty", ["{}", "{ }", "{,}"])
     def test_usage_error_empty_mu_set(self, capsys, empty):

@@ -66,7 +66,7 @@ SAMPLES = {
     "IsoPointsReport": [(ZERO, "none"), (CardinalToken.finite(2), "two")],
     "Lattice": [(1, FULL_1.basis), (1, HALF_1.basis)],
     "MuReport": [(ExtNat(2), INFINITE), (ExtNat(1), ExtNat(3))],
-    "PrimeTuple": [((2, 3), 2.0), ((5,), 3.5)],
+    "PrimeTuple": [((2, 3),), ((5,),)],
     "PruferSubgroup": [(2, 3), (3, None)],
     "ReducedTorsionPart": [("layerly_finite", None), ("finite", 4)],
     "TaxiPoint": [((1, 2),), ((0,),)],
