@@ -5,12 +5,16 @@ are exact at arbitrary size. No floating point is used anywhere in this module;
 index products like p1^m1 * ... * pn^mn overflow machine words quickly, which
 is why arbitrary precision is mandatory.
 
-`_extend`, which inserts rows into a reduced row HNF, is the only
-elimination: `row_hnf` extends an empty basis, and `lattices` extends
-canonical bases without eliminating them again. The left kernel is read off
-the HNF of [m | I], as `lattices` reads off A ∩ B; integer solving (one
-kernel of [target; m]) and the Smith form (the HNF of rows and of columns in
-turn) follow. `abs_det` (Bareiss) is an independent route.
+`_extend`, which inserts rows into a reduced row HNF and leaves an echelon
+basis with the HNF's pivots, is the only elimination; `_finish`, one pass
+from the bottom up, makes that basis the HNF. `row_hnf` extends an empty
+basis and finishes it, and `lattices` extends canonical bases without
+eliminating them again, finishing only what it returns: a distance reads
+just the pivots. The left kernel is the part of the HNF of [m | I] that is
+zero on m's columns (`_zero_part` finishes only that part), as `lattices`
+reads off A ∩ B; integer solving (one kernel of [target; m]) and the Smith
+form (the HNF of rows and of columns in turn) follow. `abs_det` (Bareiss)
+is an independent route.
 """
 
 from __future__ import annotations
@@ -27,6 +31,11 @@ def _as_rows(m: Matrix) -> list[list[int]]:
     rows = [list(r) for r in m]
     if len(set(map(len, rows))) > 1:
         raise ValueError("ragged matrix")
+    return _check_integers(rows)
+
+
+def _check_integers(rows: list) -> list:
+    """rows, refused unless every entry is an int (bool is not)."""
     # the exact-type test is the fast path; int subclasses but bool pass too
     if not set(map(type, chain.from_iterable(rows))) <= {int} and any(
             not isinstance(x, int) or isinstance(x, bool)
@@ -36,16 +45,18 @@ def _as_rows(m: Matrix) -> list[list[int]]:
 
 
 def _extend(h: list, rows: Iterable[Sequence[int]]) -> list:
-    """Extend h, a reduced row HNF, in place to that of h's rows and `rows`.
+    """Extend h, a reduced row HNF, in place to an echelon basis of h's rows
+    and `rows`, which `_finish` makes their reduced row HNF.
 
     Each row v walks h in pivot order (Kannan–Bachem 1979). Where v's entry
     b meets a pivot a, v loses (b/a)·row if a | b; otherwise (row, v)
     becomes (x·row + y·v, a'·v − b'·row), with a' = a/g, b' = b/g for
     g = gcd(a, b) and x·a' + y·b' = 1. Where v leads left of the next pivot,
     it becomes a new row. The rows an insertion changed are reduced against
-    the rows below them, which keeps entries small; a last pass does the rest.
+    the rows below them, which keeps entries small. The pivots, positive,
+    are already those of the HNF, which differs only above them.
     """
-    cols = [r.index(next(filter(None, r))) for r in h]  # pivot columns
+    cols = _pivots(h)
     for v in rows:
         w = len(v)
         lead = 0
@@ -79,8 +90,30 @@ def _extend(h: list, rows: Iterable[Sequence[int]]) -> list:
             cols.insert(i, lead)
             changed.append(i)
         _reduce(h, cols, reversed(changed))
-    _reduce(h, cols, range(len(h) - 2, -1, -1))
     return h
+
+
+def _pivots(h: list) -> list[int]:
+    """The pivot column of each row of the echelon basis h."""
+    return [r.index(next(filter(None, r))) for r in h]
+
+
+def _finish(h: list) -> list:
+    """The reduced row HNF of `_extend`'s echelon basis h, in place: each
+    row, bottom up, reduced above the pivots of the rows below it."""
+    _reduce(h, _pivots(h), range(len(h) - 2, -1, -1))
+    return h
+
+
+def _zero_part(h: list, ncols: int) -> list[list[int]]:
+    """The rows of the HNF of h, an echelon basis from `_extend`, that are
+    zero on the first ncols columns, cut there. They are h's last rows, and
+    reducing a row reads only the rows below it, so `_finish`'s pass runs
+    over these rows alone."""
+    cols = _pivots(h)
+    first = sum(c < ncols for c in cols)
+    _reduce(h, cols, range(len(h) - 2, first - 1, -1))
+    return [r[ncols:] for r in h[first:]]
 
 
 def _reduce(h: list, cols: list[int], ks: Iterable[int]) -> None:
@@ -102,7 +135,7 @@ def row_hnf(m: Matrix) -> list[list[int]]:
     integers iff their HNFs are identical, so lattice equality becomes
     bit-equality on the output.
     """
-    return _extend([], _as_rows(m))
+    return _finish(_extend([], _as_rows(m)))
 
 
 def left_kernel(m: Matrix) -> list[list[int]]:
@@ -114,7 +147,7 @@ def left_kernel(m: Matrix) -> list[list[int]]:
     rows = _as_rows(m)
     ncols = len(rows[0]) if rows else 0
     aug = [r + [int(i == j) for j in range(len(rows))] for i, r in enumerate(rows)]
-    return [r[ncols:] for r in _extend([], aug) if not any(r[:ncols])]
+    return _zero_part(_extend([], aug), ncols)
 
 
 def divisibility_chain(ds: Sequence[int]) -> list[int]:
@@ -145,9 +178,9 @@ def snf(m: Matrix) -> list[int]:
     """
     h = _as_rows(m)
     size = min(len(h), len(h[0]) if h else 0)
-    h = _extend([], h)
+    h = _finish(_extend([], h))
     while any(len(r) - r.count(0) != 1 for r in h):
-        h = _extend([], [list(col) for col in zip(*h)])
+        h = _finish(_extend([], [list(col) for col in zip(*h)]))
     pivots = divisibility_chain(sum(r) for r in h)  # one nonzero per row
     return pivots + [0] * (size - len(pivots))
 

@@ -16,7 +16,7 @@ import operator
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from ._values import value_class
-from .exactmat import _extend, divisibility_chain
+from .exactmat import _extend, _finish, divisibility_chain
 from .lattices import (
     ExtNat,
     INFINITE,
@@ -136,7 +136,7 @@ class FAGSubgroup:
         diag(m)·Z^k by construction."""
         ms = parent.invariant_factors
         diag = [[m if j == i else 0 for j in range(len(ms))] for i, m in enumerate(ms)]
-        h = _extend(diag, [parent.normalize(g) for g in gens])
+        h = _finish(_extend(diag, [parent.normalize(g) for g in gens]))
         return cls._canonical(parent, Lattice(len(ms), tuple(map(tuple, h))))
 
     @classmethod

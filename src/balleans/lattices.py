@@ -107,11 +107,10 @@ def lattice_from_generators(ambient: int, gens: Sequence[Sequence[int]]) -> Latt
     if ambient < 0:
         raise ValueError("ambient dimension must be >= 0")
     rows = [list(r) for r in gens]
-    for r in rows:
-        if len(r) != ambient:
-            raise ValueError("generator length does not match ambient dimension")
-    h = exactmat.row_hnf(rows)
-    return Lattice(ambient, tuple(tuple(r) for r in h))
+    if any(len(r) != ambient for r in rows):
+        raise ValueError("generator length does not match ambient dimension")
+    h = exactmat._finish(exactmat._extend([], exactmat._check_integers(rows)))
+    return Lattice(ambient, tuple(map(tuple, h)))
 
 
 def full_lattice(ambient: int) -> Lattice:
@@ -147,7 +146,7 @@ def member(x: Sequence[int], lat: Lattice) -> bool:
 def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
     """A + B: A's canonical basis extended by B's rows."""
     _check_same_ambient(a, b)
-    h = exactmat._extend(list(a.basis), b.basis)
+    h = exactmat._finish(exactmat._extend(list(a.basis), b.basis))
     return Lattice(a.ambient, tuple(map(tuple, h)))
 
 
@@ -162,7 +161,7 @@ def lattice_intersection(a: Lattice, b: Lattice) -> Lattice:
     _check_same_ambient(a, b)
     n = a.ambient
     h = exactmat._extend([x + x for x in a.basis], [y + (0,) * n for y in b.basis])
-    return Lattice(n, tuple(tuple(r[n:]) for r in h if not any(r[:n])))
+    return Lattice(n, tuple(map(tuple, exactmat._zero_part(h, n))))
 
 
 def index_in(a: Lattice, b: Lattice) -> ExtNat:
@@ -184,18 +183,27 @@ def index_in(a: Lattice, b: Lattice) -> ExtNat:
 def saturation(h: Lattice) -> Lattice:
     """The pure closure sat(H) = {x in Z^n : m*x in H for some m != 0}.
 
-    Computed as the integer vectors orthogonal to everything orthogonal to H:
-    two left kernels, each read off one HNF. Integer kernels are
-    automatically pure, so no division step is needed.
+    sat(H) = Z^n ∩ Q·H is the left kernel of any integer matrix whose
+    columns span ker_Q(B), B the basis, and integer kernels are pure. The
+    columns come by fraction-free back-substitution on B, one per non-pivot
+    column f: e_f, scaled as each row above f, bottom up, solves for its pivot.
     """
     n = h.ambient
     if h.rank == n:
         return full_lattice(n)
-    transpose = [[row[j] for row in h.basis] for j in range(n)]
-    orth = exactmat.left_kernel(transpose)  # vectors y with basis · y = 0
-    back = [[row[j] for row in orth] for j in range(n)]
-    sat_rows = exactmat.left_kernel(back)
-    return Lattice(n, tuple(tuple(r) for r in sat_rows))
+    cols = exactmat._pivots(h.basis)
+    kernel = []
+    for f in sorted(set(range(n)).difference(cols)):
+        y = [int(j == f) for j in range(n)]
+        for c, row in zip(reversed(cols), reversed(h.basis)):
+            if c < f:
+                s = sum(a * b for a, b in zip(row, y))
+                g = math.gcd(s, row[c])
+                if g != row[c]:
+                    y = [v * (row[c] // g) for v in y]
+                y[c] = -s // g
+        kernel.append(y)
+    return Lattice(n, tuple(map(tuple, exactmat.left_kernel(list(zip(*kernel))))))
 
 
 def commensurable(a: Lattice, b: Lattice) -> bool:
@@ -203,10 +211,10 @@ def commensurable(a: Lattice, b: Lattice) -> bool:
 
     As rank(A∩B) = rank A + rank B - rank(A+B), that is rank A = rank B =
     rank(A+B), read off the canonical row-HNF bases and, only if rank A =
-    rank B, one HNF of A + B.
+    rank B, an echelon basis of A + B: A's basis extended by B's rows.
     """
     _check_same_ambient(a, b)
-    return a.rank == b.rank == lattice_sum(a, b).rank
+    return a.rank == b.rank == len(exactmat._extend(list(a.basis), b.basis))
 
 
 def log_subgroup_distance(a: Lattice, b: Lattice) -> ExtNat:
@@ -214,18 +222,20 @@ def log_subgroup_distance(a: Lattice, b: Lattice) -> ExtNat:
 
     By the second isomorphism theorem A/(A∩B) ≅ (A+B)/B, so the indices are
     |A+B : B| and |A+B : A|: with all ranks equal, mu' = max(P(A), P(B)) /
-    P(A+B) from the canonical row-HNF bases and one HNF of A + B.
+    P(A+B), P(A+B) read off A's basis extended by B's rows: an echelon
+    basis has the HNF's pivots, up to sign (Cohen, GTM 138, §2.4).
 
     The displayed distance is log(mu') in any base > 1; bases differ only by
     a bounded rescaling, so the exact integer is the authoritative value.
     """
     _check_same_ambient(a, b)
-    if a.rank != b.rank:  # no HNF of A + B needed
+    if a.rank != b.rank:  # no echelon basis of A + B needed
         return INFINITE
-    s = lattice_sum(a, b)
-    if s.rank != a.rank:
+    s = exactmat._extend(list(a.basis), b.basis)
+    if len(s) != a.rank:
         return INFINITE
-    return ExtNat.finite(max(pivot_product(a), pivot_product(b)) // pivot_product(s))
+    return ExtNat.finite(max(pivot_product(a), pivot_product(b))
+                         // math.prod(next(filter(None, row)) for row in s))
 
 
 def pivot_product(lat: Lattice) -> int:

@@ -236,6 +236,22 @@ def coset_count(a_gens, b_gens, cap: int = 2_000_000) -> int:
     return len(seen)
 
 
+def saturation_by_two_kernels(lat):
+    """The package's former `lattices.saturation`: the integer vectors
+    orthogonal to everything orthogonal to H, as two left kernels (the
+    first a canonical integer basis of ker(B), B the basis)."""
+    from balleans.exactmat import left_kernel
+    from balleans.lattices import Lattice, full_lattice
+
+    n = lat.ambient
+    if lat.rank == n:
+        return full_lattice(n)
+    transpose = [[row[j] for row in lat.basis] for j in range(n)]
+    orth = left_kernel(transpose)
+    back = [[row[j] for row in orth] for j in range(n)]
+    return Lattice(n, tuple(tuple(r) for r in left_kernel(back)))
+
+
 # ---------------------------------------------------------------------------
 # finite-group oracles
 

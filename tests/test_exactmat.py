@@ -167,7 +167,11 @@ class TestAgainstEchelonOracle:
             aug = [r + [int(i == j) for j in range(len(m))] for i, r in enumerate(m)]
             assert exactmat.left_kernel(m) == [r[c:] for r in hnf_by_echelon(aug, c)]
             k = rng.randint(0, len(m))
-            assert exactmat._extend(hnf_by_echelon(m[:k]), m[k:]) == h
+            echelon = exactmat._extend(hnf_by_echelon(m[:k]), m[k:])
+            # the HNF's pivot columns and pivots already, before the last pass
+            assert [(c, r[c]) for r, c in zip(echelon, exactmat._pivots(echelon))] == \
+                [(c, r[c]) for r, c in zip(h, exactmat._pivots(h))]
+            assert exactmat._finish(echelon) == h
             a, b = lattice_from_generators(c, m[:k]), lattice_from_generators(c, m[k:])
             want = hnf_by_echelon(a.basis + b.basis)
             assert lattice_sum(a, b).basis == tuple(map(tuple, want))
@@ -204,17 +208,33 @@ class TestLeftKernel:
         lat = lattice_from_generators(len(m), k)
         assert saturation(lat) == lat
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_31x32_saturation_stays_fast(self, seed):
+    # 24 x 48 leaves 24 free columns, each a back-substituted kernel vector
+    @pytest.mark.parametrize("seed, rows, cols", [(s, 31, 32) for s in range(4)]
+                             + [(48, 24, 48)], ids=["0", "1", "2", "3", "24x48"])
+    def test_31x32_saturation_stays_fast(self, seed, rows, cols):
         # seed 3 took 25 s while the kernel's transform block grew unreduced
-        m = rand_matrix(random.Random(seed), 31, 32, 99)
+        m = rand_matrix(random.Random(seed), rows, cols, 99)
         t0 = time.perf_counter()
-        sat = saturation(lattice_from_generators(32, m))
+        sat = saturation(lattice_from_generators(cols, m))
         assert time.perf_counter() - t0 < 1.0
         # holding every row, of the rows' rank, and pure: that is sat(H)
         assert all(member(r, sat) for r in m)
         assert sat.rank == frac_rank(m)
         assert exactmat.snf(sat.basis) == [1] * sat.rank
+
+    def test_matches_echelon_oracle_past_several_image_rows(self):
+        # the rows of the HNF of [m | I] that lead in m's columns, here
+        # 2 to 6 of them, are no longer reduced; the kernel rows must not move
+        rng = random.Random(30)
+        for _ in range(300):
+            c = rng.randint(2, 6)
+            m = rand_matrix(rng, rng.randint(c + 1, 10), c, rng.choice((9, 99)))
+            if rng.random() < 0.3:  # a repeated column lowers the rank
+                m = [r + [r[0]] for r in m]
+            aug = [r + [int(i == j) for j in range(len(m))] for i, r in enumerate(m)]
+            assert frac_rank(m) >= 2
+            assert exactmat.left_kernel(m) == \
+                [r[len(m[0]):] for r in hnf_by_echelon(aug, len(m[0]))]
 
     def test_kernel_is_saturated(self):
         # a scaled kernel vector with unit content must itself be in the kernel

@@ -20,7 +20,8 @@ from balleans.lattices import (
     saturation,
     trivial_lattice,
 )
-from oracles import coset_count, frac_rank, in_integer_span, oracle_mu_prime
+from oracles import (coset_count, frac_rank, in_integer_span, oracle_mu_prime,
+                     saturation_by_two_kernels)
 
 
 class TestExtNat:
@@ -268,3 +269,93 @@ class TestDistance:
             rb, rs = (frac_rank(g) if g else 0 for g in (gb, ga + gb))
             want = ExtNat.finite(coset_count(ga, gb)) if rb == rs else INFINITE
             assert index_in(lattice_intersection(a, b), a) == want
+
+
+def _unimodular(rng, n):
+    """A product of 2n random row additions, redrawn until its entries lie
+    in [-8, 8], so that diag(a)·U with a_i <= 12 keeps entries within ±99."""
+    while True:
+        u = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(2 * n if n > 1 else 0):
+            i, j = rng.sample(range(n), 2)
+            u[i] = [x + rng.choice((-1, 1)) * y for x, y in zip(u[i], u[j])]
+        if all(abs(x) <= 8 for row in u for x in row):
+            return u
+
+
+def _distance_pair(rng, n):
+    """Generators of two subgroups of Z^n with entries in [-99, 99], and
+    whether the pair is constructed (small indices). Random pairs have n - 1
+    to n + 1 rows, or fewer; constructed ones are diag(a)·U and diag(b)·U in
+    a random order, with zeros in a and b one time in three, in the same
+    places half of those times; shared ones are two mixes of one set of
+    fewer than n rows."""
+    kind = rng.choice(("random", "random", "constructed", "shared")) if n else "random"
+    if kind == "random":
+        return ([[rng.randint(-99, 99) for _ in range(n)]
+                 for _ in range(rng.randint(0, n + 1))] for _ in range(2)), False
+    if kind == "shared":
+        base = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(rng.randint(0, n - 1))]
+
+        def mix():
+            cs = [[rng.randint(-2, 2) for _ in base] for _ in range(len(base) + 1)]
+            return [[sum(c * x for c, x in zip(row, col)) for col in zip(*base)]
+                    for row in cs] if base else []
+
+        return (mix(), mix()), False
+    u = _unimodular(rng, n)
+    a, b = ([rng.randint(1, 12) for _ in range(n)] for _ in range(2))
+    if rng.random() < 1 / 3:
+        zeros = set(rng.sample(range(n), rng.randint(1, n)))
+        for i in zeros:
+            a[i] = 0
+        for i in zeros if rng.random() < 0.5 else {rng.randrange(n)}:
+            b[i] = 0
+    ga, gb = ([[x * v for v in row] for x, row in zip(d, u)] for d in (a, b))
+    rng.shuffle(ga)
+    return (ga, gb), True
+
+
+class TestDistanceFromEchelonBasis:
+    """mu' and commensurability are read off an echelon basis of A + B, not
+    its canonical form: they equal the pivot formula over `lattice_sum`,
+    and residue counting where the indices are small."""
+
+    def test_matches_pivot_products_of_the_sum_and_residue_counts(self):
+        rng = random.Random(28)
+        seen = {"finite-deficient": 0, "finite-full": 0, "same-rank-infinite": 0,
+                "rank-infinite": 0, "ambient-0": 0, "counted": 0}
+        for _ in range(1500):
+            n = rng.randint(0, 12)
+            (ga, gb), constructed = _distance_pair(rng, n)
+            a, b = lattice_from_generators(n, ga), lattice_from_generators(n, gb)
+            s = lattice_sum(a, b)
+            finite = a.rank == b.rank == s.rank
+            want = (ExtNat.finite(max(pivot_product(a), pivot_product(b))
+                                  // pivot_product(s)) if finite else INFINITE)
+            assert log_subgroup_distance(a, b) == log_subgroup_distance(b, a) == want
+            assert commensurable(a, b) == commensurable(b, a) == finite
+            seen["ambient-0" if not n else
+                 ("finite-full" if a.rank == n else "finite-deficient") if finite else
+                 "same-rank-infinite" if a.rank == b.rank else "rank-infinite"] += 1
+            if n <= 4 and (constructed or not finite):
+                om = oracle_mu_prime(ga, gb)
+                assert want == (INFINITE if om is None else ExtNat.finite(om))
+                seen["counted"] += 1
+        assert min(seen.values()) >= 20, seen
+
+
+class TestSaturationByOneKernel:
+    def test_matches_two_kernels_at_every_rank(self):
+        # ranks 0..n for n = 0..12: r generators of a random span, scaled
+        # by a random r x r matrix so that the span is seldom saturated
+        rng = random.Random(29)
+        for n in range(13):
+            for r in range(n + 1):
+                for _ in range(8):
+                    base = [[rng.randint(-99, 99) for _ in range(n)] for _ in range(r)]
+                    mix = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(r)]
+                    gens = base + [[sum(c * row[j] for c, row in zip(m, base))
+                                    for j in range(n)] for m in mix]
+                    lat = lattice_from_generators(n, gens if rng.random() < 0.5 else gens[r:])
+                    assert saturation(lat) == saturation_by_two_kernels(lat), gens

@@ -598,3 +598,66 @@ class TestFanOut:
             other.join(timeout=30)
         assert not other.is_alive()
         assert out == [os.getpid()] * 8 and not cores.forks
+
+
+class TestSuitesReportTheirOwnViolations:
+    """A closed form made wrong on known pairs: each suite lists exactly
+    those pairs, in-process and with a forked child computing part of them,
+    and a child's exception reaches the caller."""
+
+    @pytest.fixture(params=[1, 2], ids=["one-worker", "two-workers"])
+    def workers(self, request, monkeypatch):
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(suites, "_workers", lambda samples: request.param)
+        return request.param, forks
+
+    def test_elemab_lists_the_wrong_pairs(self, monkeypatch, workers):
+        real = suites.elementary_abelian_closed_form
+        monkeypatch.setattr(suites, "elementary_abelian_closed_form", lambda p, f, fp: (
+            real(p, f, fp) * ExtNat.finite(3 if p == 3 and f == {0} else 1)))
+        report = suites.suite_elemab()
+        # subsets of {0..4} by size, then in combination order; {0} is the
+        # second, so the pairs ({0}, F') with F' from {0} on are the wrong ones
+        subsets = [sorted(c) for k in range(6) for c in itertools.combinations(range(5), k)]
+        assert report.violations == tuple((3, [0], fp) for fp in subsets[1:])
+        assert report.samples == 2 * 32 * 33 // 2
+        k, forks = workers
+        assert len(forks) == k - 1
+        TestFanOut._no_child_left()
+
+    def test_iota_lists_the_wrong_pairs(self, monkeypatch, workers):
+        # with 4^2 grid points every pair is checked, in combination order;
+        # a closed form of 2 keeps each of these pairs inside the
+        # quasi-isometry bounds, so only the closed-form check fires
+        wrong_pairs = [((0, 0), (0, 1)), ((1, 1), (1, 2)), ((2, 0), (2, 2))]
+        real = suites.dlog_closed_form
+        monkeypatch.setattr(suites, "dlog_closed_form", lambda pt, m, mp: (
+            ExtNat.finite(2) if (m.coords, mp.coords) in wrong_pairs else real(pt, m, mp)))
+        report = suites.suite_iota(max_coord=3)
+        assert report.samples == 16 * 15 // 2
+        assert report.violations == tuple(("closed-form", m, mp) for m, mp in wrong_pairs)
+        assert not workers[1]  # iota checks its pairs in-process
+
+    def test_a_childs_exception_reaches_the_caller(self, monkeypatch):
+        # with two workers the child checks the odd pairs; the second pair
+        # is (p = 2, {}, {0})
+        monkeypatch.setattr(suites, "_workers", lambda samples: 2)
+        real = suites.elementary_abelian_closed_form
+
+        def wrong(p, f, fp):
+            if p == 2 and not f and fp == {0}:
+                raise ArithmeticError(f"raised in {os.getpid()}")
+            return real(p, f, fp)
+
+        monkeypatch.setattr(suites, "elementary_abelian_closed_form", wrong)
+        with pytest.raises(ArithmeticError, match=r"^raised in \d+$") as caught:
+            suites.suite_elemab()
+        assert str(caught.value) != f"raised in {os.getpid()}"
+        TestFanOut._no_child_left()
