@@ -1,9 +1,9 @@
 """Self-contained verification sweeps over the constructive witnesses.
 
 Each suite checks a closed-form claim against a second computation route
-(lattice indices, explicit set arithmetic in a window, exhaustive subgroup
-enumeration, or random instance generation) and reports violations; the CLI
-`verify` command and the test suite both consume these.
+(lattice indices, set arithmetic in a window on characteristic vectors,
+exhaustive subgroup enumeration, or random instance generation) and reports
+violations; the CLI `verify` command and the test suite both consume these.
 """
 
 from __future__ import annotations
@@ -299,26 +299,40 @@ def suite_tree(max_order: int = 81) -> VerificationReport:
 
 def lz_exp_ball_windowed(n: int, m: int) -> set[int]:
     """Independent route for the integer-subgroup exp balls: explicit set
-    arithmetic inside the window [-W, W], W = 4 n (2m + 1)."""
+    arithmetic inside the window [-W, W], W = 4 n (2m + 1).
+
+    k is in the ball when jZ ∩ [-(W - m), W - m] lies in the blown-up set
+    iZ ∩ [-W, W] + [-m, m] for (j, i) = (k, n) and for (j, i) = (n, k).
+    Each blown-up set is a characteristic vector over [-W - m, W + m] (a
+    bytearray, filled by 2m + 1 strided slice assignments), and each
+    inclusion is one strided slice of it searched for a 0. k's own vector
+    is built only once kZ has passed the first inclusion, which few k do, so
+    the other k cost only the points of kZ they read.
+    """
+    if m < 0:
+        raise ValueError("radius bound must be >= 0")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     bound = n * (2 * m + 1)
     w = 4 * bound
-    out = set()
+    zero = w + m  # the index of 0; index x + zero stands for x
+    inner = w - m
+    top = zero + inner + 1  # jZ ∩ [-inner, inner]: [zero - inner // j * j:top:j]
 
-    def multiples(k: int, reach: int) -> range:  # kZ ∩ [-reach, reach]
-        return range(-(reach // k) * k, reach + 1, k)
+    def blown(i: int) -> bytearray:  # iZ ∩ [-w, w] + [-m, m]
+        flags = bytearray(2 * zero + 1)
+        least = zero - w // i * i  # the index of iZ's least point in [-w, w]
+        count = 2 * (w // i) + 1
+        ones = b"\x01" * count
+        for start in range(least - m, least + m + 1):
+            flags[start:start + (count - 1) * i + 1:i] = ones
+        return flags
 
-    def blown(k: int) -> set[int]:  # kZ ∩ [-w, w] + [-m, m]
-        r = multiples(k, w)
-        return set().union(*(range(r.start + d, r.stop + d, k)
-                             for d in range(-m, m + 1)))
-
-    has_n = blown(n).__contains__
-    inner_n = multiples(n, w - m)
-    for k in range(1, bound + 1):
-        if all(map(has_n, multiples(k, w - m))) and \
-                all(map(blown(k).__contains__, inner_n)):
-            out.add(k)
-    return out
+    has_n = blown(n)
+    inner_n = slice(zero - inner // n * n, top, n)
+    return {k for k in range(1, bound + 1)
+            if 0 not in has_n[zero - inner // k * k:top:k]
+            and 0 not in blown(k)[inner_n]}
 
 
 def suite_lzball(max_n: int = 20, max_m: int = 3) -> VerificationReport:

@@ -618,6 +618,32 @@ def lz_log_scan(n: int, bound: int) -> set[int]:
     return out
 
 
+def lz_exp_window_by_sets(n: int, m: int) -> set[int]:
+    """The package's former `suites.lz_exp_ball_windowed`: the window route
+    with each blown-up set kZ ∩ [-W, W] + [-m, m], W = 4 n (2m + 1), built
+    as a Python set of ints. Like it, (0, m) divides by zero and a negative
+    n or m gives the empty set."""
+    bound = n * (2 * m + 1)
+    w = 4 * bound
+    out = set()
+
+    def multiples(k: int, reach: int) -> range:  # kZ ∩ [-reach, reach]
+        return range(-(reach // k) * k, reach + 1, k)
+
+    def blown(k: int) -> set[int]:  # kZ ∩ [-w, w] + [-m, m]
+        r = multiples(k, w)
+        return set().union(*(range(r.start + d, r.stop + d, k)
+                             for d in range(-m, m + 1)))
+
+    has_n = blown(n).__contains__
+    inner_n = multiples(n, w - m)
+    for k in range(1, bound + 1):
+        if all(map(has_n, multiples(k, w - m))) and \
+                all(map(blown(k).__contains__, inner_n)):
+            out.add(k)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # verification suites, pair by pair
 

@@ -43,6 +43,7 @@ from oracles import (
     exp_power_inclusion_by_sets,
     require_ball_structure,
     lz_exp_scan,
+    lz_exp_window_by_sets,
     lz_log_scan,
     suite_elemab_per_pair,
     suite_hamming_per_pair,
@@ -307,6 +308,28 @@ class TestLzBallEnumerators:
         cases += [(rng.randint(1, 600), rng.randint(0, 8)) for _ in range(25)]
         for n, m in cases:
             assert lz_exp_ball(n, m) == lz_exp_ball_windowed(n, m), (n, m)
+
+    def test_window_matches_set_route(self):
+        # the characteristic vectors against the former route's Python sets
+        # and the closed form: every n <= 120 with m <= 8, then seeded
+        # random cases up to (600, 12)
+        rng = random.Random(29)
+        cases = [(n, m) for n in range(1, 121) for m in range(0, 9)]
+        cases += [(rng.randint(1, 600), rng.randint(0, 12)) for _ in range(60)]
+        for n, m in cases:
+            assert lz_exp_ball_windowed(n, m) == lz_exp_window_by_sets(n, m) \
+                == lz_exp_ball(n, m), (n, m)
+
+    @pytest.mark.parametrize("n,m,message", [
+        (0, 1, "n must be >= 1"),
+        (-2, 1, "n must be >= 1"),
+        (3, -1, "radius bound must be >= 0"),
+        (0, -1, "radius bound must be >= 0"),
+    ])
+    def test_window_refuses_what_the_closed_form_refuses(self, n, m, message):
+        for route in (lz_exp_ball, lz_exp_ball_windowed):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                route(n, m)
 
     def test_general_matches_closed_form(self):
         rng = random.Random(6)
@@ -644,6 +667,20 @@ class TestSuitesReportTheirOwnViolations:
         assert report.samples == 16 * 15 // 2
         assert report.violations == tuple(("closed-form", m, mp) for m, mp in wrong_pairs)
         assert not workers[1]  # iota checks its pairs in-process
+
+    def test_lzball_lists_the_wrong_cases(self, monkeypatch, workers):
+        # n itself dropped from the ball of (3, 2) and of (5, 1); cases run
+        # n by n, m by m within each; (3, 2) has n <= 3m, so only the window
+        # disagrees, while (5, 1) also breaks the singleton law
+        real = suites.lz_exp_ball
+        monkeypatch.setattr(suites, "lz_exp_ball", lambda n, m: (
+            real(n, m) - {n} if (n, m) in {(3, 2), (5, 1)} else real(n, m)))
+        report = suites.suite_lzball()
+        assert report.samples == 20 * 4
+        assert report.violations == (("window-mismatch", 3, 2),
+                                      ("window-mismatch", 5, 1),
+                                      ("singleton", 5, 1))
+        assert not workers[1]  # lzball checks its cases in-process
 
     def test_a_childs_exception_reaches_the_caller(self, monkeypatch):
         # with two workers the child checks the odd pairs; the second pair
