@@ -779,9 +779,6 @@ class MuReport:
     mu: ExtNat
     single_set: ExtNat
 
-    def to_json(self) -> dict:
-        return {"mu": self.mu.to_json(), "single_set": self.single_set.to_json()}
-
 
 def mu_set_distance(y: FiniteSubset, z: FiniteSubset) -> ExtNat:
     return mu_report(y, z).mu
@@ -825,10 +822,6 @@ class HammingPoint:
     """A finitely supported point of the Hamming space over an index set."""
 
     support_set: frozenset
-
-    @classmethod
-    def of(cls, items: Iterable) -> "HammingPoint":
-        return cls(frozenset(items))
 
 
 def hamming_distance(f: Union[HammingPoint, frozenset, set],

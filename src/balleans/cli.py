@@ -137,21 +137,13 @@ def parse_subgroup(expr: str, ctx: GroupCtx):
     raise UsageError(f"cannot parse subgroup {expr!r} in a finite group")
 
 
-def format_subgroup(sub, ctx: GroupCtx) -> str:
-    """Canonical printing; output re-parses to the identical value."""
-    if isinstance(sub, PruferSubgroup):
-        return "whole" if sub.is_whole else f"H_{sub.level}@{sub.prime}"
-    if isinstance(sub, Lattice):
-        if sub.ambient == 1:
-            return f"{sub.basis[0][0]}Z" if sub.rank else "0Z"
-        rows = ",".join("(" + ",".join(map(str, r)) + ")" for r in sub.basis)
-        return f"span[{rows}]"
-    if isinstance(sub, FAGSubgroup):
-        elems = sorted(sub.elements())
-        body = ",".join("(" + ",".join(map(str, e)) + ")" if len(e) > 1
-                        else str(e[0]) for e in elems)
-        return f"gen{{{body}}}"
-    raise ValueError("unknown subgroup kind")
+def format_subgroup(sub: Lattice) -> str:
+    """Canonical printing of a subgroup of Z^n; output re-parses to the
+    identical value."""
+    if sub.ambient == 1:
+        return f"{sub.basis[0][0]}Z" if sub.rank else "0Z"
+    rows = ",".join("(" + ",".join(map(str, r)) + ")" for r in sub.basis)
+    return f"span[{rows}]"
 
 
 def _split_top(s: str) -> list[str]:
@@ -295,8 +287,7 @@ def _cmd_saturate(args) -> dict:
     if not isinstance(ctx, int):
         raise UsageError("saturation applies to subgroups of Z^n")
     sub = parse_subgroup(args.sub, ctx)
-    return {"input": format_subgroup(sub, ctx),
-            "saturation": format_subgroup(saturation(sub), ctx)}
+    return {"input": format_subgroup(sub), "saturation": format_subgroup(saturation(sub))}
 
 
 def _cmd_profile(args) -> dict:
@@ -365,7 +356,7 @@ def _cmd_verify(args) -> list:
 _COMMANDS = {
     "dist": ("distance between two subgroups", _cmd_dist, [
         ("--group", dict(required=True)),
-        ("--sub", dict(action="append", default=[], required=True)),
+        ("--sub", dict(action="append", required=True)),
         ("--base", dict(type=float))]),
     "ball": ("enumerate a metric or exp ball", _cmd_ball, [
         ("--family", dict(required=True, choices=["LZ-exp", "LZ-log", "prufer"])),
@@ -382,7 +373,7 @@ _COMMANDS = {
         ("--group", dict(required=True)), ("--radius", dict(required=True))]),
     "mu": ("exact covering distance between two sets", _cmd_mu, [
         ("--group", dict(required=True)),
-        ("--set", dict(action="append", default=[], required=True)),
+        ("--set", dict(action="append", required=True)),
         ("--base", dict(type=float))]),
     "verify": ("run a verification suite", _cmd_verify, [
         ("--suite", dict(default="all", choices=sorted(SUITES) + ["all"])),
@@ -415,10 +406,10 @@ def _fast_args(name: str, rest: Sequence[str]) -> Optional[types.SimpleNamespace
         return None
     fields = {}
     for flag, kwargs in options.items():  # argparse's dest, default and action
-        default, values = kwargs.get("default"), given.get(flag)
+        values = given.get(flag)
         if values and kwargs.get("action") == "append":
-            values = [[*(default or ()), *values]]
-        fields[flag[2:].replace("-", "_")] = values[-1] if values else default
+            values = [values]
+        fields[flag[2:].replace("-", "_")] = values[-1] if values else kwargs.get("default")
     return types.SimpleNamespace(**fields, command=name)
 
 

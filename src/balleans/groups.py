@@ -318,10 +318,6 @@ class CardinalToken:
     def is_zero(self) -> bool:
         return self.kind == "finite" and self.n == 0
 
-    @property
-    def is_infinite(self) -> bool:
-        return not self.is_finite
-
     def to_json(self):
         if self.kind == "finite":
             return self.n
@@ -547,7 +543,7 @@ def asdim_classify(d: GroupDescriptor) -> AsdimReport:
     if not d.is_torsion:
         return AsdimReport("infinite")
     for _, mult in d.prufer:
-        if mult.is_infinite:
+        if not mult.is_finite:
             return AsdimReport("infinite")
     for _, part in d.reduced_torsion:
         if part.kind == "not_layerly_finite":

@@ -31,10 +31,6 @@ class ExtNat:
     def finite(cls, n: int) -> "ExtNat":
         return cls(n)
 
-    @classmethod
-    def infinity(cls) -> "ExtNat":
-        return cls(None)
-
     @property
     def is_finite(self) -> bool:
         return self.value is not None
@@ -69,7 +65,7 @@ class ExtNat:
         return cls(data)
 
 
-INFINITE = ExtNat.infinity()
+INFINITE = ExtNat(None)
 
 
 @value_class
@@ -207,14 +203,8 @@ def saturation(h: Lattice) -> Lattice:
 
 
 def commensurable(a: Lattice, b: Lattice) -> bool:
-    """Both indices |A : A∩B| and |B : A∩B| finite.
-
-    As rank(A∩B) = rank A + rank B - rank(A+B), that is rank A = rank B =
-    rank(A+B), read off the canonical row-HNF bases and, only if rank A =
-    rank B, an echelon basis of A + B: A's basis extended by B's rows.
-    """
-    _check_same_ambient(a, b)
-    return a.rank == b.rank == len(exactmat._extend(list(a.basis), b.basis))
+    """Both indices |A : A∩B| and |B : A∩B| finite: mu'(A, B) < ∞."""
+    return log_subgroup_distance(a, b).is_finite
 
 
 def log_subgroup_distance(a: Lattice, b: Lattice) -> ExtNat:

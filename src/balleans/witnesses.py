@@ -55,10 +55,6 @@ class TaxiPoint:
         if any(c < 0 for c in self.coords):
             raise ValueError("coordinates must be >= 0")
 
-    @classmethod
-    def of(cls, coords: Iterable[int]) -> "TaxiPoint":
-        return cls(tuple(coords))
-
 
 def iota(pt: PrimeTuple, m: TaxiPoint) -> Lattice:
     """The subgroup (p1^m1 * ... * pn^mn) Z of Z."""

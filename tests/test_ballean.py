@@ -983,7 +983,7 @@ class TestHamming:
         assert hamming_distance({1, 2}, {2, 3}) == 2
         assert hamming_distance({1, 5}, {1, 5}) == 0
         assert hamming_distance(set(), {1, 2, 3}) == 3
-        assert hamming_distance(HammingPoint.of([1]), HammingPoint.of([2])) == 2
+        assert hamming_distance(HammingPoint(frozenset([1])), HammingPoint(frozenset([2]))) == 2
 
 
 class TestJson:

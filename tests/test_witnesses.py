@@ -8,9 +8,16 @@ import time
 import pytest
 
 from balleans import ballean, suites
-from balleans.ballean import ExplicitBallean, discrete_ballean, hamming_distance
+from balleans.ballean import (
+    BalleanValidation,
+    ExplicitBallean,
+    cellularization,
+    discrete_ballean,
+    exp_hyperballean_of,
+    hamming_distance,
+)
 from balleans.groups import FiniteAbelianGroup
-from balleans.lattices import ExtNat, lattice_from_generators, log_subgroup_distance
+from balleans.lattices import INFINITE, ExtNat, lattice_from_generators, log_subgroup_distance
 from balleans.suites import (
     SUITES,
     exp_power_inclusion_holds,
@@ -23,6 +30,7 @@ from balleans.suites import (
 from balleans.witnesses import (
     PrimeTuple,
     TaxiPoint,
+    TreeCertificate,
     _coordinate_subgroup,
     cyclic_subgroup_tree,
     dlog_closed_form,
@@ -681,6 +689,99 @@ class TestSuitesReportTheirOwnViolations:
                                       ("window-mismatch", 5, 1),
                                       ("singleton", 5, 1))
         assert not workers[1]  # lzball checks its cases in-process
+
+    def test_iota_lists_the_quasi_isometry_violations(self, monkeypatch, workers):
+        # a closed form of 1 at taxi distance 2 breaks b^t <= mu'^n, one of
+        # 1000 at taxi distance 1 breaks mu' <= P^t; the closed-form entries
+        # come first, then the quasi-isometry ones, each in pair order
+        wrong = {((0, 0), (1, 1)): 1, ((0, 1), (0, 2)): 1000}
+        real = suites.dlog_closed_form
+        monkeypatch.setattr(suites, "dlog_closed_form", lambda pt, m, mp: (
+            ExtNat.finite(wrong[m.coords, mp.coords]) if (m.coords, mp.coords) in wrong
+            else real(pt, m, mp)))
+        report = suites.suite_iota(max_coord=3)
+        assert report.violations == (("closed-form", (0, 0), (1, 1)),
+                                     ("closed-form", (0, 1), (0, 2)),
+                                     ("lower", (0, 0), (1, 1)),
+                                     ("upper", (0, 1), (0, 2)))
+        assert not workers[1]
+
+    def test_tree_lists_the_wrong_groups(self, monkeypatch, workers):
+        # groups run by prime, then by order; (2, 2) is no tree, (3, 9) loses
+        # an edge and (49,) both
+        real = suites.cyclic_subgroup_tree
+
+        def wrong(g):
+            cert = real(g)
+            ms = g.invariant_factors
+            return TreeCertificate(cert.vertices,
+                                   cert.edges[1:] if ms in {(3, 9), (49,)} else cert.edges,
+                                   cert.root, cert.height,
+                                   cert.is_tree and ms not in {(2, 2), (49,)})
+
+        monkeypatch.setattr(suites, "cyclic_subgroup_tree", wrong)
+        report = suites.suite_tree()
+        assert report.samples == 64
+        assert report.violations == (("not-a-tree", (2, 2)), ("edge-count", (3, 9)),
+                                     ("not-a-tree", (49,)), ("edge-count", (49,)))
+        k, forks = workers
+        assert len(forks) == k - 1
+        TestFanOut._no_child_left()
+
+    def test_cellular_lists_the_wrong_balleans(self, monkeypatch, workers):
+        # the 25 balleans suite_cellular draws at seed 0, in its order; each
+        # picked one, and its exp hyperballean, is unique among them. Ballean
+        # 3 is called invalid, and so its other checks are skipped
+        rng = random.Random(0)
+        drawn = [random_ballean(rng, max_size=5) for _ in range(25)]
+        invalid, no_power, no_cells = ([drawn[i] for i in picks]
+                                       for picks in ((3,), (3, 6, 18), (3, 8, 18)))
+        hypers = [exp_hyperballean_of(cellularization(b)) for b in no_cells]
+        real_validate, real_power, real_cellular = (
+            suites.validate_ballean, suites.exp_power_inclusion_holds, suites.is_cellular)
+        monkeypatch.setattr(suites, "validate_ballean", lambda b: (
+            BalleanValidation(False) if b in invalid else real_validate(b)))
+        monkeypatch.setattr(suites, "exp_power_inclusion_holds", lambda b, max_n: (
+            b not in no_power and real_power(b, max_n=max_n)))
+        monkeypatch.setattr(suites, "is_cellular", lambda h: h not in hypers and real_cellular(h))
+        report = suites.suite_cellular()
+        assert report.samples == 25
+        assert report.violations == (("generator-invalid", 3), ("power-inclusion", 6),
+                                     ("exp-not-cellular", 8), ("power-inclusion", 18),
+                                     ("exp-not-cellular", 18))
+        k, forks = workers
+        assert len(forks) == k - 1
+        TestFanOut._no_child_left()
+
+    def test_axioms_list_the_wrong_triples(self, monkeypatch, workers):
+        # the triples suite_axioms(seed=0, triples=6) draws, in its order:
+        # six of lattices of Z^2, then six of sets
+        rng = random.Random(0)
+        lats = [[lattice_from_generators(2, suites._random_rows(rng, 2, 6)) for _ in "abc"]
+                for _ in range(6)]
+        sets = [[frozenset(rng.sample(range(10), rng.randint(0, 6))) for _ in "fgh"]
+                for _ in range(6)]
+        # d(A, B) doubled one way in triple 1, d(A, C) infinite in triple 3,
+        # d(A, A) = 2 in triple 4; and for the sets, h(f, g) one more one way
+        # in triple 0, h(f, h) 100 more in triple 2, h(f, f) = 1 in triple 5
+        wrong_d = {(lats[1][0], lats[1][1]): lambda d: d * ExtNat.finite(2),
+                   (lats[3][0], lats[3][2]): lambda d: INFINITE,
+                   (lats[4][0], lats[4][0]): lambda d: ExtNat.finite(2)}
+        wrong_h = {(sets[0][0], sets[0][1]): 1, (sets[2][0], sets[2][2]): 100,
+                   (sets[5][0], sets[5][0]): 1}
+        real_d, real_h = suites.log_subgroup_distance, suites.hamming_distance
+        monkeypatch.setattr(suites, "log_subgroup_distance", lambda x, y: (
+            wrong_d.get((x, y), lambda d: d)(real_d(x, y))))
+        monkeypatch.setattr(suites, "hamming_distance", lambda f, g: (
+            real_h(f, g) + wrong_h.get((f, g), 0)))
+        report = suites.suite_axioms(triples=6)
+        assert report.samples == 12
+        assert report.violations == (("symmetry", 1), ("triangle", 3), ("identity", 4),
+                                     ("hamming-symmetry", 0), ("hamming-triangle", 2),
+                                     ("hamming-identity", 5))
+        k, forks = workers
+        assert len(forks) == k - 1
+        TestFanOut._no_child_left()
 
     def test_a_childs_exception_reaches_the_caller(self, monkeypatch):
         # with two workers the child checks the odd pairs; the second pair
